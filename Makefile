@@ -38,6 +38,7 @@ diff-phase2:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x ./internal/sweep/
+	$(GO) test -run '^$$' -bench 'BenchmarkMatchResponseEncode' -benchtime 1x ./internal/server/
 
 # Library-sweep table only: sweep vs sequential-loop timings across circuit
 # sizes and worker counts, archived as BENCH_sweep.json.

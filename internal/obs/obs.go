@@ -32,12 +32,13 @@ const (
 	KindPhase2      = "phase2"       // SubGemini Phase II verification
 	KindCacheLookup = "cache-lookup" // pattern / result-cache lookup
 	KindPersist     = "persist"      // store write (PUT, PATCH, pattern save)
+	KindEncode      = "encode"       // response encoding and write
 )
 
 // SpanKinds enumerates every span kind in the order /metrics renders them.
 var SpanKinds = []string{
 	KindQueueWait, KindShedCheck, KindStoreGet, KindCSRBuild,
-	KindPhase1, KindPhase2, KindCacheLookup, KindPersist,
+	KindPhase1, KindPhase2, KindCacheLookup, KindPersist, KindEncode,
 }
 
 // SpanRef identifies a span inside one Timeline.  NoSpan is the nil value:

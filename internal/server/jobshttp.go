@@ -180,7 +180,7 @@ func (s *Server) jobRunner(req *JobRequest) (jobs.Runner, *httpError) {
 // semaphore (the worker pool is the concurrency bound) and no default
 // deadline (escaping the request timeout envelope is the point of a job);
 // an explicit timeout_ms is honored uncapped.
-func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (*MatchResponse, error) {
+func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (*matchReply, error) {
 	pat, cacheHit, e := s.resolvePattern(req)
 	if e != nil {
 		return nil, errors.New(e.msg)
@@ -208,10 +208,10 @@ func (s *Server) runMatchJob(ctx context.Context, req *MatchRequest) (*MatchResp
 // runBatchJob runs a batch sequentially on the job worker; per-item
 // failures are recorded in-band, so the job itself only fails on
 // cancellation.
-func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) BatchResponse {
-	results := make([]BatchItem, len(req.Requests))
+func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) batchReply {
+	results := make([]batchItem, len(req.Requests))
 	for i := range req.Requests {
-		item := BatchItem{Index: i, Pattern: req.Requests[i].Pattern}
+		item := batchItem{Index: i, Pattern: req.Requests[i].Pattern}
 		resp, err := s.runMatchJob(ctx, &req.Requests[i])
 		if err != nil {
 			item.Status = http.StatusBadRequest
@@ -224,7 +224,7 @@ func (s *Server) runBatchJob(ctx context.Context, req *BatchRequest) BatchRespon
 		}
 		results[i] = item
 	}
-	return BatchResponse{Results: results}
+	return batchReply{Results: results}
 }
 
 // runExtractJob clones the selected circuit under its read lock and

@@ -372,3 +372,35 @@ func TestRecorderConcurrentScrape(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestEncodeSpanOnKeptTimelines: the reply write of match, batch and sweep
+// is an encode span, so it no longer counts as unattributed time.
+func TestEncodeSpanOnKeptTimelines(t *testing.T) {
+	s, _ := newAdderServer(t, func(c *Config) { c.FlightSampleN = 1 })
+	for _, tc := range []struct {
+		path, name string
+		body       any
+	}{
+		{"/v1/match", "match", MatchRequest{Pattern: "INV"}},
+		{"/v1/match/batch", "batch", BatchRequest{Requests: []MatchRequest{{Pattern: "INV"}}}},
+		{"/v1/sweep", "sweep", SweepRequest{Patterns: []string{"INV"}, IncludeInstances: true}},
+	} {
+		rec := do(t, s, "POST", tc.path, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, rec.Code, rec.Body.String())
+		}
+		tls := debugFind(t, s, rec.Header().Get("X-Request-Id"))
+		if len(tls) != 1 {
+			t.Fatalf("%s: recorder holds %d timelines, want 1", tc.path, len(tls))
+		}
+		var enc []obs.SpanJSON
+		for _, sp := range tls[0].Spans {
+			if sp.Kind == obs.KindEncode {
+				enc = append(enc, sp)
+			}
+		}
+		if len(enc) != 1 || enc[0].Name != tc.name || enc[0].Open {
+			t.Errorf("%s: encode spans %+v, want one closed span named %q", tc.path, enc, tc.name)
+		}
+	}
+}
