@@ -36,7 +36,7 @@ diff-phase2:
 # One-iteration benchmark pass: catches bit-rot in the benchmark harness
 # without paying for a real measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch|BenchmarkMatcherSetup' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x ./internal/sweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkMatchResponseEncode' -benchtime 1x ./internal/server/
 

@@ -24,13 +24,14 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
 	"subgemini/internal/csr"
 	"subgemini/internal/graph"
-	"subgemini/internal/obs"
 	"subgemini/internal/label"
+	"subgemini/internal/obs"
 	"subgemini/internal/stats"
 	"subgemini/internal/trace"
 )
@@ -53,7 +54,10 @@ const (
 type Options struct {
 	// Globals lists net names treated as special signals in both circuits
 	// (paper §V.A).  A pattern net with one of these names only matches the
-	// identically named main-graph net.
+	// identically named main-graph net.  The names are marked on the
+	// pattern; on the main circuit they form a per-run overlay on the
+	// view's base globals and are never written to the circuit, so they
+	// apply to this matcher's runs only.
 	Globals []string
 
 	// Bind constrains pattern ports to specific main-graph nets by name:
@@ -115,13 +119,16 @@ type Options struct {
 	// keep the reference engines selectable.
 	LegacyIncremental bool
 
-	// CSR, when non-nil, supplies a prebuilt flat view of the main circuit
-	// (see NewCSR), letting long-lived callers like subgeminid build it
-	// once per resident circuit and share it across matchers; the view is
-	// immutable and safe for concurrent use.  It must describe the same
-	// circuit passed to NewMatcher (vertex counts are checked; a mismatch
-	// falls back to building a fresh view).  Nil means the Matcher builds
-	// and caches its own on first use.
+	// CSR, when non-nil, supplies the compiled main circuit (see NewCSR):
+	// adjacency, device type ids and the base global nets, letting
+	// long-lived callers like subgeminid build it once per circuit version
+	// and share it across matchers; the view is immutable and safe for
+	// concurrent use.  It must describe the same circuit passed to
+	// NewMatcher.  Vertex counts and the circuit's global-mark count are
+	// checked (csr.Graph.Fits): a view built before a later MarkGlobal, or
+	// of another size, is ignored and a fresh view is built.  Nil means
+	// the Matcher builds and caches its own on first use, rebuilding it
+	// the same way when the circuit stops fitting.
 	CSR *CSR
 
 	// Scratch, when non-nil, recycles the O(|G|) per-run Phase II state
@@ -129,15 +136,6 @@ type Options struct {
 	// matchers of one resident circuit removes the dominant steady-state
 	// allocation of a match request.
 	Scratch *ScratchPool
-
-	// InitLabels, when non-nil, supplies a precomputed initial Phase I
-	// labeling of the main circuit (see NewInitLabels), letting a library
-	// sweep label the main graph once and share the result read-only
-	// across its per-pattern matchers.  It must describe the same circuit
-	// with the same global marks (both are checked; a mismatch falls back
-	// to computing the labeling as usual), and it is ignored under
-	// AblateGlobalFold, whose device labels differ from the shared ones.
-	InitLabels *InitLabels
 
 	// Cancel, when non-nil, is polled at bounded intervals throughout the
 	// run: between and *inside* Phase I relabeling passes (every few
@@ -157,10 +155,11 @@ type Options struct {
 	Cancel func() error
 
 	// Observe, when non-nil, receives span timelines for the run: one
-	// phase1 span (attrs: passes, cv_size), one phase2 span (attrs:
-	// candidates, instances — or replayed/recomputed on the incremental
-	// path), and a csr-build span when the matcher has to construct its own
-	// adjacency view.  Wiring a request timeline in is one line:
+	// matcher-setup span (view adoption, the run's global overlay and the
+	// initial labels), one phase1 span (attrs: passes, cv_size), one phase2
+	// span (attrs: candidates, instances — or replayed/recomputed on the
+	// incremental path), and a csr-build span when the matcher has to
+	// construct its own view.  Wiring a request timeline in is one line:
 	//
 	//	opts.Observe = obs.ScopeFromContext(ctx)
 	//
@@ -315,169 +314,156 @@ func Find(g, s *graph.Circuit, opts Options) (*Result, error) {
 
 // Matcher holds the main circuit and options so several patterns can be
 // matched against the same circuit.  A Matcher is not safe for concurrent
-// use.
+// use.  It never writes to the main circuit.
 type Matcher struct {
 	g    *graph.Circuit
 	opts Options
 
 	gSpace *label.Space
 	// consumed marks main-graph devices already claimed by an instance
-	// under the NonOverlapping policy.  It persists across Find calls so
-	// iterated extraction can run several patterns against one circuit.
+	// under the NonOverlapping policy (nil under MatchAll).  It persists
+	// across Find calls so iterated extraction can run several patterns
+	// against one circuit.
 	consumed []bool
 
-	// typeLab caches type-name label hashes: circuits have a handful of
-	// distinct device types but the labels are consulted per device in
-	// every hot loop.
-	typeLab map[string]label.Value
-
-	// devLab caches the type label of every main-graph device, indexed by
-	// device vid.  The region Phase II engine reads it on every device
-	// relabel, where even the typeLab map lookup (a string hash) is
-	// measurable; built lazily by deviceLabels.
-	devLab []label.Value
-
-	// devTID/devPins/netDeg cache flat structural facts about the main
-	// graph for the region engine's compatibility checks: interned device
-	// type ids and pin counts (indexed by device vid) and net degrees
-	// (indexed by vid - numDevs).  Type ids are dense per-matcher
-	// (typeIDs), so id equality is exactly type-string equality; built
-	// lazily by vertexShape.
-	devTID  []int32
-	devPins []int32
-	netDeg  []int32
-	typeIDs map[string]int32
-
-	// gInitLab caches the Phase I initial labels of the main graph, which
-	// depend only on the circuit and its global marks — both fixed at
-	// NewMatcher time — so repeated Find calls skip recomputing them.
-	gInitLab []label.Value
-
-	// gCSR caches the flat CSR view of the main graph for the
-	// data-oriented Phase I engine.  Unlike gInitLab it survives global
-	// re-marking: the view captures structure only.
+	// gCSR is the compiled main circuit: the caller's Options.CSR when it
+	// fits, else built on first use (and rebuilt once it no longer fits).
+	// It holds everything about G that does not depend on the query, so
+	// per-run setup only reads it.
 	gCSR *csr.Graph
 }
 
-// CSR is a flat compressed-sparse-row view of a circuit, the representation
-// the Phase I engine relabels over.  Build one with NewCSR to share across
+// CSR is the compiled, immutable view of a circuit: flat adjacency with
+// class multipliers, an interned type id per device, and the nets marked
+// global when it was built.  Build one with NewCSR to share across
 // matchers of the same circuit via Options.CSR.
 type CSR = csr.Graph
 
-// NewCSR builds the flat view of a circuit.  The view captures structure
-// only (connectivity and terminal classes), is immutable, and is safe to
-// share between any number of concurrent matchers.
+// NewCSR builds the compiled view of a circuit.  The view is immutable and
+// safe to share between any number of concurrent matchers.  It records the
+// circuit's global marks: after a later g.MarkGlobal the view no longer
+// fits g, and a matcher given it builds a fresh one instead.
 func NewCSR(g *graph.Circuit) *CSR { return csr.New(g) }
 
-// csrView returns the cached CSR view of the main graph, adopting a
-// caller-supplied prebuilt view when it matches the circuit.
+// csrView returns the cached view of the main graph, adopting a
+// caller-supplied prebuilt view when it matches the circuit.  A view that
+// no longer fits (the circuit changed size or gained global marks since)
+// is replaced.
 func (m *Matcher) csrView() *csr.Graph {
-	if m.gCSR == nil {
-		if v := m.opts.CSR; v != nil && v.Fits(m.g) {
-			m.gCSR = v
-		} else {
-			ref := obs.NoSpan
-			if o := m.opts.Observe; o != nil {
-				ref = o.Begin(obs.KindCSRBuild, m.g.Name)
-			}
-			m.gCSR = csr.New(m.g)
-			if o := m.opts.Observe; o != nil {
-				o.AttrInt(ref, "devices", int64(len(m.g.Devices)))
-				o.AttrInt(ref, "nets", int64(len(m.g.Nets)))
-				o.End(ref)
-			}
-		}
+	if m.gCSR != nil && m.gCSR.Fits(m.g) {
+		return m.gCSR
+	}
+	if v := m.opts.CSR; v != nil && v.Fits(m.g) {
+		m.gCSR = v
+		return v
+	}
+	ref := obs.NoSpan
+	if o := m.opts.Observe; o != nil {
+		ref = o.Begin(obs.KindCSRBuild, m.g.Name)
+	}
+	m.gCSR = csr.New(m.g)
+	if o := m.opts.Observe; o != nil {
+		o.AttrInt(ref, "devices", int64(len(m.g.Devices)))
+		o.AttrInt(ref, "nets", int64(len(m.g.Nets)))
+		o.End(ref)
 	}
 	return m.gCSR
 }
 
-// deviceLabels returns the per-device type labels of the main graph,
-// indexed by device vid.  Built once per matcher; FindParallel warms it
-// before spawning workers so worker reads never race the lazy build.
-func (m *Matcher) deviceLabels() []label.Value {
-	if m.devLab == nil {
-		labs := make([]label.Value, len(m.g.Devices))
-		for i, d := range m.g.Devices {
-			labs[i] = m.typeLabel(d.Type)
-		}
-		m.devLab = labs
-	}
-	return m.devLab
-}
-
-// vertexShape builds the flat per-vertex structural arrays the region
-// engine's compatibility check reads: device type ids and pin counts, and
-// net degrees.  Built once per matcher; FindParallel warms it before
-// spawning workers.
-func (m *Matcher) vertexShape() (devTID, devPins, netDeg []int32) {
-	if m.devTID == nil {
-		tids := make([]int32, len(m.g.Devices))
-		pins := make([]int32, len(m.g.Devices))
-		for i, d := range m.g.Devices {
-			tids[i] = m.typeID(d.Type)
-			pins[i] = int32(len(d.Pins))
-		}
-		deg := make([]int32, len(m.g.Nets))
-		for i, n := range m.g.Nets {
-			deg[i] = int32(n.Degree())
-		}
-		m.devTID, m.devPins, m.netDeg = tids, pins, deg
-	}
-	return m.devTID, m.devPins, m.netDeg
-}
-
-// typeID interns a device type string as a dense per-matcher id, so two
-// ids compare equal exactly when the type strings do.
-func (m *Matcher) typeID(typ string) int32 {
-	if id, ok := m.typeIDs[typ]; ok {
-		return id
-	}
-	id := int32(len(m.typeIDs))
-	m.typeIDs[typ] = id
-	return id
-}
-
-// typeLabel returns the cached label.TypeLabel of a device type.
-func (m *Matcher) typeLabel(typ string) label.Value {
-	if v, ok := m.typeLab[typ]; ok {
-		return v
-	}
-	v := label.TypeLabel(typ)
-	m.typeLab[typ] = v
-	return v
-}
-
-// NewMatcher prepares a matcher for the main circuit g.  The circuit's nets
-// named in opts.Globals are marked global.
+// NewMatcher prepares a matcher for the main circuit g.  It is cheap: the
+// compiled view is adopted or built on the first run, which also resolves
+// opts.Globals against it.
 func NewMatcher(g *graph.Circuit, opts Options) (*Matcher, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil main circuit")
 	}
-	for _, d := range g.Devices {
-		if d.Type == graph.WildcardType {
-			return nil, fmt.Errorf("core: main circuit %s contains a wildcard device (%s); wildcards are for patterns only", g.Name, d.Name)
-		}
+	var wild bool
+	if v := opts.CSR; v != nil && v.Fits(g) {
+		wild = v.TypeID(graph.WildcardType) >= 0
+	} else {
+		wild = slices.ContainsFunc(g.Devices, func(d *graph.Device) bool { return d.Type == graph.WildcardType })
 	}
-	for _, name := range opts.Globals {
-		g.MarkGlobal(name)
+	if wild {
+		return nil, fmt.Errorf("core: main circuit %s contains a wildcard device; wildcards are for patterns only", g.Name)
 	}
-	return &Matcher{
-		g:        g,
-		opts:     opts,
-		gSpace:   label.NewSpace(g),
-		consumed: make([]bool, g.NumDevices()),
-		typeLab:  make(map[string]label.Value),
-		typeIDs:  make(map[string]int32),
-	}, nil
+	m := &Matcher{g: g, opts: opts, gSpace: label.NewSpace(g)}
+	if opts.Policy == NonOverlapping {
+		m.consumed = make([]bool, g.NumDevices())
+	}
+	return m, nil
 }
 
-// markGlobal marks a main-graph net global by name, invalidating the
-// cached Phase I initial labels (they fold in global marks).
-func (m *Matcher) markGlobal(name string) {
-	if n := m.g.NetByName(name); n != nil && !n.Global {
-		n.Global = true
-		m.gInitLab = nil
+// consumedDev reports whether main-graph vertex v is a device already
+// claimed by a previous instance under the NonOverlapping policy.  Net
+// vids lie past the device range, so the length check covers them.
+func (m *Matcher) consumedDev(v label.VID) bool {
+	return int(v) < len(m.consumed) && m.consumed[v]
+}
+
+// setup prepares one run of pattern s — the compiled view, the run's
+// special signals, the validated pattern and both graphs' initial Phase I
+// labels — inside a matcher-setup span.  Everything it reads from G comes
+// from the view, so its cost is O(|pattern| + globals) plus filling the
+// run's own O(|G|) label arrays.
+func (m *Matcher) setup(s *graph.Circuit, rep *stats.Report) (*pattern, *phase1, error) {
+	ref := obs.NoSpan
+	o := m.opts.Observe
+	if o != nil {
+		ref = o.Begin(obs.KindMatcherSetup, s.Name)
 	}
+	pat, err := m.prepare(s)
+	var p1 *phase1
+	if err == nil {
+		p1 = newPhase1(m, pat, rep)
+	}
+	if o != nil {
+		o.End(ref)
+	}
+	return pat, p1, err
+}
+
+// prepare adopts the view and resolves the run's special signals: the
+// view's base globals plus an overlay of Options.Globals and the pattern's
+// declared globals, by name (the Fig. 7 semantics, applied in both
+// directions).  The overlay lives in the returned pattern only; the
+// pattern clone is marked with every special signal of the run, and the
+// main circuit is only read.
+func (m *Matcher) prepare(s *graph.Circuit) (*pattern, error) {
+	view := m.csrView()
+	globals := netSet(view.Globals)
+	shared := true // globals still aliases the view's slice
+	add := func(name string) {
+		n := m.g.NetByName(name)
+		if n == nil {
+			return
+		}
+		i, ok := slices.BinarySearch(globals, int32(n.Index))
+		if ok {
+			return
+		}
+		if shared {
+			globals = append(make(netSet, 0, len(globals)+4), globals...)
+			shared = false
+		}
+		globals = slices.Insert(globals, i, int32(n.Index))
+	}
+	for _, name := range m.opts.Globals {
+		add(name)
+	}
+	for _, n := range s.Nets {
+		if n.Global {
+			add(n.Name)
+		}
+	}
+	for _, i := range globals {
+		s.MarkGlobal(m.g.Nets[i].Name)
+	}
+	pat, err := newPattern(s, &m.opts)
+	if err != nil {
+		return nil, err
+	}
+	pat.globals = globals
+	return pat, nil
 }
 
 // ResetConsumed forgets which devices previous NonOverlapping runs claimed.
@@ -489,26 +475,22 @@ func (m *Matcher) ResetConsumed() {
 
 // Find locates instances of the pattern in the matcher's main circuit.
 //
-// The effective set of special signals is the union of Options.Globals and
-// the nets already marked global in either circuit (e.g. by a .GLOBAL
-// netlist directive); the union is applied to both circuits by name, so a
-// library pattern matched against a netlist with declared globals gets the
-// consistent Fig. 7 semantics without repeating the names in Options.
+// The effective set of special signals is the union of Options.Globals,
+// the view's base globals (the main circuit's marks, e.g. from a .GLOBAL
+// netlist directive) and the pattern's own marks; the union applies to
+// both circuits by name, so a library pattern matched against a netlist
+// with declared globals gets the consistent Fig. 7 semantics without
+// repeating the names in Options.  The union is marked on the pattern; on
+// the main circuit it is a per-run overlay, never a write.
 func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil pattern")
 	}
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	pat, err := newPattern(s, &m.opts)
+	res := &Result{}
+	pat, p1, err := m.setup(s, &res.Report)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
 	tr := m.opts.Tracer
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindRunStart, Circuit: m.g.Name, Pattern: pat.s.Name,
@@ -521,7 +503,6 @@ func (m *Matcher) Find(s *graph.Circuit) (*Result, error) {
 	if o := m.opts.Observe; o != nil {
 		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
 	}
-	p1 := newPhase1(m, pat, &res.Report)
 	key, cv, err := p1.run()
 	res.Report.Phase1Duration = time.Since(t0)
 	if o := m.opts.Observe; o != nil {

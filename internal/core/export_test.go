@@ -46,22 +46,24 @@ func SetIncReplayCap(f float64) (restore func()) {
 	return func() { incReplayCap = old }
 }
 
-// RunPhase1ForTest runs candidate generation alone, mirroring Find's
-// global cross-marking, and returns the key vertex, candidate vector, and
-// the report counters Phase I filled in.
+// RunPhase1ForTest runs candidate generation alone, after the same setup
+// as Find, and returns the key vertex, candidate vector, and the report
+// counters Phase I filled in.
 func RunPhase1ForTest(m *Matcher, s *graph.Circuit) (label.VID, []label.VID, stats.Report, error) {
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	pat, err := newPattern(s, &m.opts)
+	var rep stats.Report
+	_, p1, err := m.setup(s, &rep)
 	if err != nil {
 		return 0, nil, stats.Report{}, err
 	}
-	var rep stats.Report
-	p1 := newPhase1(m, pat, &rep)
 	key, cv, err := p1.run()
 	return key, cv, rep, err
+}
+
+// SetupForTest runs the per-run matcher setup of Find alone (view
+// adoption, the global overlay, pattern validation and both graphs'
+// initial labels), for the setup allocation gate and benchmark.
+func SetupForTest(m *Matcher, s *graph.Circuit) error {
+	var rep stats.Report
+	_, _, err := m.setup(s, &rep)
+	return err
 }

@@ -100,7 +100,7 @@ type candOutcome struct {
 // immutable after FindIncremental returns it and safe to share.
 type IncrementalState struct {
 	numDevs, numNets int
-	globals          int // global net count at capture time (marks are monotone)
+	globals          netSet // the run's global nets, in the captured version's indices
 	complete         bool
 	relabels         int // Phase I relabeling passes of the captured sequence
 	gLab             []label.Value
@@ -140,22 +140,15 @@ func (m *Matcher) FindIncremental(s *graph.Circuit, prev *IncrementalState, ds *
 	if s == nil {
 		return nil, nil, fmt.Errorf("core: nil pattern")
 	}
-	// Same mutual global-marking preamble as Find, before compatibility is
-	// judged: the global count below must reflect this run's marks.
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	pat, err := newPattern(s, o)
+	res := &Result{}
+	pat, p1, err := m.setup(s, &res.Report)
 	if err != nil {
 		return nil, nil, err
 	}
 	if m.replayCompatible(pat, prev, ds) {
-		return m.findReplay(pat, prev, ds)
+		return m.findReplay(pat, p1, res, prev, ds)
 	}
-	return m.findCapture(pat)
+	return m.findCapture(pat, p1, res)
 }
 
 // replayCompatible decides whether prev/ds support the replay path; any
@@ -170,17 +163,16 @@ func (m *Matcher) replayCompatible(pat *pattern, prev *IncrementalState, ds *Dir
 	if len(prev.gLab) != prev.numDevs+prev.numNets {
 		return false
 	}
-	// Global marks are monotone and globals cannot be removed or renamed
-	// (delta refuses both), so an equal count means the identical set; a
-	// changed count means labels shifted in ways the capture cannot cover.
-	globals := 0
-	for _, n := range m.g.Nets {
-		if n.Global {
-			globals++
-		}
-	}
-	if globals != prev.globals {
+	// The capture holds only for the same special signals: the captured
+	// run's global nets, carried through the remap, must be exactly this
+	// run's (the remap is monotone, so ascending order survives).
+	if len(prev.globals) != len(pat.globals) {
 		return false
+	}
+	for i, ov := range prev.globals {
+		if ds.NetOld2New[ov] != pat.globals[i] {
+			return false
+		}
 	}
 	if len(ds.Touched) > 0 || len(pat.bind) > 0 {
 		touched := make(map[string]bool, len(ds.Touched))
@@ -217,10 +209,9 @@ func (m *Matcher) replayCompatible(pat *pattern, prev *IncrementalState, ds *Dir
 
 // findCapture runs the full matcher like Find while recording the capture a
 // later replay needs: the Phase I pass count and final labels/states, and
-// per-candidate Phase II draw counts and instance images.  pat is already
-// built and globals are already marked.
-func (m *Matcher) findCapture(pat *pattern) (*Result, *IncrementalState, error) {
-	res := &Result{}
+// per-candidate Phase II draw counts and instance images.  pat and p1 come
+// from Matcher.setup.
+func (m *Matcher) findCapture(pat *pattern, p1 *phase1, res *Result) (*Result, *IncrementalState, error) {
 	res.Report.IncrementalMode = "full"
 
 	t0 := time.Now()
@@ -228,7 +219,6 @@ func (m *Matcher) findCapture(pat *pattern) (*Result, *IncrementalState, error) 
 	if o := m.opts.Observe; o != nil {
 		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
 	}
-	p1 := newPhase1(m, pat, &res.Report)
 	key, cv, err := p1.run()
 	res.Report.Phase1Duration = time.Since(t0)
 	if o := m.opts.Observe; o != nil {
@@ -332,8 +322,7 @@ func (rc *replayCtx) remapped(prev *candOutcome) *candOutcome {
 
 // findReplay is the incremental path: region-scoped Phase I, then the
 // candidate loop with Phase II outcome replay.
-func (m *Matcher) findReplay(pat *pattern, prev *IncrementalState, ds *DirtySet) (*Result, *IncrementalState, error) {
-	res := &Result{}
+func (m *Matcher) findReplay(pat *pattern, p1 *phase1, res *Result, prev *IncrementalState, ds *DirtySet) (*Result, *IncrementalState, error) {
 	res.Report.IncrementalMode = "replay"
 	res.Report.DirtyVertices = len(ds.DirtyDevs) + len(ds.DirtyNets)
 
@@ -347,7 +336,6 @@ func (m *Matcher) findReplay(pat *pattern, prev *IncrementalState, ds *DirtySet)
 		o.Attr(p1Ref, "mode", "replay")
 		o.AttrInt(p1Ref, "dirty", int64(res.Report.DirtyVertices))
 	}
-	p1 := newPhase1(m, pat, &res.Report)
 	gn := p1.gSpace.Size()
 
 	// Previous finals translated into the new vertex space.  Added vertices
@@ -564,15 +552,11 @@ func (m *Matcher) finishIncremental(pat *pattern, p1 *phase1, key label.VID, cv 
 	state := &IncrementalState{
 		numDevs:  nd,
 		numNets:  m.g.NumNets(),
+		globals:  pat.globals,
 		complete: p1.seqComplete,
 		relabels: p1.relabelEvents,
 		keyVID:   -1,
 		outcomes: make(map[int32]*candOutcome, len(cv)),
-	}
-	for _, n := range m.g.Nets {
-		if n.Global {
-			state.globals++
-		}
 	}
 
 	if len(cv) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -280,5 +281,92 @@ func TestSummaryAndString(t *testing.T) {
 	}
 	if got := res.Instances[0].String(); got != "{u1.MP u1.MN}" {
 		t.Errorf("Instance.String = %q", got)
+	}
+}
+
+// TestRequestGlobalsLeaveCircuitUnmarked pins the overlay contract:
+// Options.Globals and a pattern's own global marks apply to the run only.
+// No entry point writes graph.Net.Global on the main circuit, and a later
+// run without those globals answers exactly as on a fresh circuit.
+func TestRequestGlobalsLeaveCircuitUnmarked(t *testing.T) {
+	// y = NAND(a, b); z = NOT(y), with only VDD marked in the circuit.
+	build := func() *graph.Circuit {
+		g := graph.New("nandinv")
+		vdd, gnd := railNets(g)
+		y := g.AddNet("y")
+		stdcell.NAND2.MustInstantiate(g, "u1", map[string]*graph.Net{
+			"A": g.AddNet("a"), "B": g.AddNet("b"), "Y": y, "VDD": vdd, "GND": gnd,
+		})
+		stdcell.INV.MustInstantiate(g, "u2", map[string]*graph.Net{
+			"A": y, "Y": g.AddNet("z"), "VDD": vdd, "GND": gnd,
+		})
+		g.MarkGlobal("VDD")
+		return g
+	}
+	marks := func(g *graph.Circuit) []bool {
+		out := make([]bool, len(g.Nets))
+		for i, n := range g.Nets {
+			out[i] = n.Global
+		}
+		return out
+	}
+	rails := Options{Globals: []string{"GND"}}
+	count := func(g *graph.Circuit, opts Options) int {
+		t.Helper()
+		res, err := Find(g, stdcell.INV.Pattern(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Instances)
+	}
+	fresh := count(build(), rails)
+	if fresh != 1 {
+		t.Fatalf("fresh circuit: %d INV instances, want 1", fresh)
+	}
+
+	g := build()
+	before := marks(g)
+	view := NewCSR(g)
+	patWithGlobal := func() *graph.Circuit {
+		s := stdcell.INV.Pattern()
+		s.MarkGlobal("GND") // declared by the pattern, unmarked in G
+		return s
+	}
+	runs := map[string]func(m *Matcher) (*Result, error){
+		"Find":         func(m *Matcher) (*Result, error) { return m.Find(patWithGlobal()) },
+		"FindParallel": func(m *Matcher) (*Result, error) { return m.FindParallel(patWithGlobal(), 2) },
+		"FindIncremental": func(m *Matcher) (*Result, error) {
+			res, _, err := m.FindIncremental(patWithGlobal(), nil, nil)
+			return res, err
+		},
+	}
+	for name, run := range runs {
+		for _, opts := range []Options{
+			{Globals: []string{"y"}},
+			{Globals: []string{"y"}, CSR: view},
+			{Globals: []string{"z", "nosuch"}, CSR: view, Policy: NonOverlapping},
+		} {
+			if name == "FindParallel" && opts.Policy == NonOverlapping {
+				continue
+			}
+			m, err := NewMatcher(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(m); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := marks(g); !slices.Equal(got, before) {
+				t.Fatalf("%s with %v changed the circuit's global marks: %v, want %v", name, opts.Globals, got, before)
+			}
+		}
+	}
+	// The y-global runs found nothing (y feeds the inverter); the plain
+	// request must still see the inverter.
+	if got := count(g, Options{Globals: []string{"GND"}, CSR: view}); got != fresh {
+		t.Errorf("after global-overlay runs: %d INV instances, fresh circuit %d", got, fresh)
+	}
+	if got := count(g, Options{Globals: []string{"GND", "y"}, CSR: view}); got != 0 {
+		t.Errorf("with y global: %d INV instances, want 0", got)
 	}
 }

@@ -45,17 +45,11 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil pattern")
 	}
-	for _, n := range s.Globals() {
-		m.markGlobal(n.Name)
-	}
-	for _, n := range m.g.Globals() {
-		s.MarkGlobal(n.Name)
-	}
-	pat, err := newPattern(s, &m.opts)
+	res := &Result{}
+	pat, p1, err := m.setup(s, &res.Report)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
 	tr := m.opts.Tracer
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindRunStart, Circuit: m.g.Name, Pattern: pat.s.Name,
@@ -67,7 +61,6 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 	if o := m.opts.Observe; o != nil {
 		p1Ref = o.Begin(obs.KindPhase1, pat.s.Name)
 	}
-	p1 := newPhase1(m, pat, &res.Report)
 	if m.opts.Workers == 0 && !m.opts.LegacyPhase1 {
 		// Unless the caller pinned a Phase I worker count, reuse the
 		// Phase II fan-out: Phase I striping is deterministic for any
@@ -105,16 +98,6 @@ func (m *Matcher) FindParallel(s *graph.Circuit, workers int) (*Result, error) {
 
 	if workers > len(cv) {
 		workers = len(cv)
-	}
-	// Pre-warm the shared caches the region engine reads — the type-label
-	// map, the flat per-device label array, the vertex shape arrays, and
-	// the type-id interning map — so workers only read them; none is
-	// otherwise synchronized.
-	m.deviceLabels()
-	m.vertexShape()
-	for _, d := range pat.s.Devices {
-		m.typeLabel(d.Type)
-		m.typeID(d.Type)
 	}
 	t1 := time.Now()
 	p2Ref := obs.NoSpan

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"subgemini/internal/graph"
 	"subgemini/internal/label"
@@ -28,6 +29,21 @@ type pattern struct {
 	// both sides so image labels still agree.
 	wildcards bool
 
+	// globals is the main-graph side of the run's special signals: the
+	// view's base globals plus the overlay from Options.Globals and the
+	// pattern's own marks, as ascending net indices of G (see
+	// Matcher.prepare).  Every main-graph global test of the run reads it
+	// instead of graph.Net.Global.
+	globals netSet
+}
+
+// netSet is a small ascending set of main-graph net indices.
+type netSet []int32
+
+// has reports whether net index i is in the set.
+func (s netSet) has(i int32) bool {
+	_, ok := slices.BinarySearch(s, i)
+	return ok
 }
 
 // fixed reports whether a pattern net is pre-matched (global or bound) and

@@ -136,7 +136,15 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 			p.sState[v] = p1Corrupt
 			continue
 		}
-		p.sLab[v] = initialDeviceLabel(m, d)
+		acc := label.TypeLabel(d.Type)
+		if !m.opts.AblateGlobalFold {
+			for _, pin := range d.Pins {
+				if pin.Net.Global {
+					acc = label.Combine(acc, pin.Class, label.GlobalLabel(pin.Net.Name))
+				}
+			}
+		}
+		p.sLab[v] = acc
 	}
 	for _, n := range pat.s.Nets {
 		v := p.sSpace.NetVID(n)
@@ -159,41 +167,7 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 			p.sLab[v] = label.DegreeLabel(n.Degree())
 		}
 	}
-	if m.gInitLab == nil {
-		if il := m.opts.InitLabels; !m.opts.AblateGlobalFold && il.Fits(m.g) {
-			// A precomputed labeling was supplied (library sweep): adopt the
-			// shared slice read-only instead of rebuilding it per matcher.
-			m.gInitLab = il.lab
-		} else {
-			m.gInitLab = make([]label.Value, p.gSpace.Size())
-			for _, d := range m.g.Devices {
-				m.gInitLab[p.gSpace.DevVID(d)] = initialDeviceLabel(m, d)
-			}
-			for _, n := range m.g.Nets {
-				v := p.gSpace.NetVID(n)
-				if n.Global {
-					m.gInitLab[v] = label.GlobalLabel(n.Name)
-				} else {
-					m.gInitLab[v] = label.DegreeLabel(n.Degree())
-				}
-			}
-		}
-	}
-	copy(p.gLab, m.gInitLab)
-	for _, n := range m.g.Nets {
-		if n.Global {
-			p.gState[p.gSpace.NetVID(n)] = g1Global
-		}
-	}
-	// Bind targets get the same fixed labels as their pattern ports,
-	// overriding the cached initial label for this run only.
-	for _, target := range pat.bind {
-		if gn := m.g.NetByName(target); gn != nil {
-			v := p.gSpace.NetVID(gn)
-			p.gLab[v] = label.BindLabel(target)
-			p.gState[v] = g1Global
-		}
-	}
+	p.initMainLabels()
 	if p.legacy {
 		p.sCount = make(map[label.Value]int)
 		p.gCount = make(map[label.Value]int)
@@ -203,18 +177,46 @@ func newPhase1(m *Matcher, pat *pattern, rep *stats.Report) *phase1 {
 	return p
 }
 
-// initialDeviceLabel is the vertex-invariant label of a device: its type,
-// folded with the fixed labels of any global nets on its terminals.  Global
-// nets match by name, so a device's rail connections are invariant across
-// the pattern and the main graph; folding them in sharpens the initial
+// initMainLabels writes the main graph's initial labels and global states
+// straight from the compiled view: every device its type label, every net
+// its degree label, then every special signal of the run its name label,
+// folded into the labels of the devices on its terminals.  Global nets
+// match by name, so a device's rail connections are invariant across the
+// pattern and the main graph; folding them in sharpens the initial
 // partitioning (a transistor sourcing from VDD never shares a partition
 // with one buried in a stack), which is what makes rail-anchored patterns
-// cheap to locate.
-func initialDeviceLabel(m *Matcher, d *graph.Device) label.Value {
-	if m.opts.AblateGlobalFold {
-		return m.typeLabel(d.Type)
+// cheap to locate.  The fold walks the global nets' rows, and the sum
+// commutes, so the result equals folding each device's global pins in pin
+// order.  No string hashing, map access or allocation happens per vertex.
+func (p *phase1) initMainLabels() {
+	m, view, lab := p.m, p.m.gCSR, p.gLab
+	start, adj, mul := view.Start, view.Adj, view.Mul
+	for d, t := range view.DevType {
+		lab[d] = view.TypeLab[t]
 	}
-	return foldedDeviceLabel(m.typeLabel, d)
+	for v := view.NumDevs; v < len(lab); v++ {
+		lab[v] = label.DegreeLabel(int(start[v+1] - start[v]))
+	}
+	for _, n := range p.pat.globals {
+		v := int32(view.NumDevs) + n
+		gl := label.GlobalLabel(m.g.Nets[n].Name)
+		lab[v] = gl
+		p.gState[v] = g1Global
+		if m.opts.AblateGlobalFold {
+			continue
+		}
+		for e := start[v]; e < start[v+1]; e++ {
+			lab[adj[e]] += label.Value(mul[e] * uint64(gl))
+		}
+	}
+	// Bind targets get the same fixed labels as their pattern ports.
+	for _, target := range p.pat.bind {
+		if gn := m.g.NetByName(target); gn != nil {
+			v := p.gSpace.NetVID(gn)
+			lab[v] = label.BindLabel(target)
+			p.gState[v] = g1Global
+		}
+	}
 }
 
 // run executes the optimized Phase I algorithm (paper §III) and returns the

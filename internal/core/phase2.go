@@ -185,12 +185,11 @@ func (p *phase2) initPrematch() error {
 	for _, n := range pat.s.Nets {
 		switch {
 		case n.Global:
+			// Matcher.prepare put every pattern global G has into the run's
+			// overlay, so a net of that name is a global of this run.
 			gn := m.g.NetByName(n.Name)
 			if gn == nil {
 				return fmt.Errorf("core: pattern global net %q absent from circuit %s", n.Name, m.g.Name)
-			}
-			if !gn.Global {
-				return fmt.Errorf("core: net %q is global in the pattern but not in circuit %s", n.Name, m.g.Name)
 			}
 			if err := prematch(n, gn, label.GlobalLabel(n.Name)); err != nil {
 				return err
@@ -267,12 +266,6 @@ func (p *phase2) touch(v label.VID) {
 	}
 }
 
-// consumedDev reports whether a main-graph vertex is a device already
-// claimed by a previous instance under the NonOverlapping policy.
-func (p *phase2) consumedDev(v label.VID) bool {
-	return p.gSpace.IsDevice(v) && p.m.consumed[v]
-}
-
 // match records s ↔ g as matched: both receive the same fresh unique label
 // (the paper's "random, unique label"), become safe, and are frozen.
 func (p *phase2) match(sv, gv label.VID) {
@@ -320,7 +313,7 @@ func (p *phase2) cancelled() error { return p.cancelErr }
 
 // verify is the untraced body of verifyCandidate.
 func (p *phase2) verify(key, c label.VID) *Instance {
-	if p.consumedDev(c) {
+	if p.m.consumedDev(c) {
 		return nil
 	}
 	if p.fixedG[c] {
@@ -425,7 +418,7 @@ func (p *phase2) relabelRound() {
 			return
 		}
 		p.mark[nv] = p.markID
-		if p.gMatch[nv] != unmatched || p.fixedG[nv] || p.consumedDev(nv) {
+		if p.gMatch[nv] != unmatched || p.fixedG[nv] || p.m.consumedDev(nv) {
 			return
 		}
 		newLab, triggered := p.relabelG(nv)
@@ -462,7 +455,7 @@ func (p *phase2) relabelS(v label.VID) (label.Value, bool) {
 	if p.sSpace.IsDevice(v) {
 		d := p.sSpace.Device(v)
 		if acc == 0 && !p.pat.wildcards {
-			acc = p.m.typeLabel(d.Type)
+			acc = label.TypeLabel(d.Type)
 		}
 		for _, pin := range d.Pins {
 			nv := p.sSpace.NetVID(pin.Net)
@@ -496,7 +489,8 @@ func (p *phase2) relabelG(v label.VID) (label.Value, bool) {
 	if p.gSpace.IsDevice(v) {
 		d := p.gSpace.Device(v)
 		if acc == 0 && !p.pat.wildcards {
-			acc = p.m.typeLabel(d.Type)
+			view := p.m.gCSR
+			acc = view.TypeLab[view.DevType[v]]
 		}
 		for _, pin := range d.Pins {
 			nv := p.gSpace.NetVID(pin.Net)
@@ -597,7 +591,7 @@ func (p *phase2) collectPairs() {
 	}
 	p.gPairs = p.gPairs[:0]
 	for _, vid := range p.touched {
-		if p.gMatch[vid] == unmatched && p.gLab[vid] != 0 && !p.consumedDev(vid) {
+		if p.gMatch[vid] == unmatched && p.gLab[vid] != 0 && !p.m.consumedDev(vid) {
 			p.gPairs = append(p.gPairs, labVID{p.gLab[vid], vid})
 		}
 	}

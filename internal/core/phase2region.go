@@ -41,21 +41,16 @@ type p2region struct {
 	uniq           *label.UniqueSource
 	radius         int
 
-	// devLab is the matcher's flat device-vid -> type-label array
-	// (Matcher.deviceLabels); relabelL reads it instead of the string-keyed
-	// type cache on every device relabel.
-	devLab []label.Value
-
-	// Flat structural arrays for compatible(): the main side comes from
-	// Matcher.vertexShape, the pattern side is built once per engine.
-	// Type ids are per-matcher interned strings, so comparing ids is
-	// exactly the type-string comparison the whole-graph engine performs,
-	// without chasing *Device/*Net pointers per check.
-	devTID, devPins, gNetDeg []int32
-	sTID, sPins, sNetDeg     []int32
-	sWild, sPort             []bool
-	sDevLab                  []label.Value
-	ablateDeg                bool
+	// Flat structural arrays for compatible(): the main side reads the
+	// view (type ids, and pin counts and net degrees as Start
+	// differences), the pattern side is built once per engine.  Pattern
+	// type ids index the view's type table (-1 for a type G lacks), so
+	// comparing ids is exactly the type-string comparison the whole-graph
+	// engine performs, without chasing *Device/*Net pointers per check.
+	sTID, sPins, sNetDeg []int32
+	sWild, sPort         []bool
+	sDevLab              []label.Value
+	ablateDeg            bool
 
 	// Pattern-side state: identical layout to the whole-graph engine, but
 	// match entries hold region-local ids (unmatchedL when unmatched).
@@ -102,10 +97,10 @@ type p2region struct {
 	matched int
 
 	// Scratch for simultaneous relabeling and partitioning.
-	sPendV []label.VID
-	sPendL []label.Value
-	lPendV []int32
-	lPendL []label.Value
+	sPendV  []label.VID
+	sPendL  []label.Value
+	lPendV  []int32
+	lPendL  []label.Value
 	sPairs  []labVID
 	gPairs  []labLocal
 	sLabSet []label.Value
@@ -151,7 +146,6 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 		g:      m.csrView(),
 		uniq:   label.NewUniqueSource(m.opts.Seed),
 		radius: pat.eccFrom(key),
-		devLab: m.deviceLabels(),
 	}
 	rep.RegionRadius = p.radius
 	sn := p.sSpace.Size()
@@ -165,7 +159,6 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 	for i := range p.sInitMatch {
 		p.sInitMatch[i] = unmatchedL
 	}
-	p.devTID, p.devPins, p.gNetDeg = m.vertexShape()
 	p.ablateDeg = m.opts.AblateDegreeCheck
 	p.sTID = make([]int32, sn)
 	p.sPins = make([]int32, sn)
@@ -177,10 +170,10 @@ func newP2Region(m *Matcher, pat *pattern, key label.VID, rep *stats.Report) (*p
 		vid := label.VID(v)
 		if p.sSpace.IsDevice(vid) {
 			d := p.sSpace.Device(vid)
-			p.sTID[v] = m.typeID(d.Type)
+			p.sTID[v] = p.g.TypeID(d.Type)
 			p.sPins[v] = int32(len(d.Pins))
 			p.sWild[v] = d.Type == graph.WildcardType
-			p.sDevLab[v] = m.typeLabel(d.Type)
+			p.sDevLab[v] = label.TypeLabel(d.Type)
 		} else {
 			n := p.sSpace.Net(vid)
 			p.sNetDeg[v] = int32(n.Degree())
@@ -250,12 +243,11 @@ func (p *p2region) initPrematch() error {
 	for _, n := range pat.s.Nets {
 		switch {
 		case n.Global:
+			// Matcher.prepare put every pattern global G has into the run's
+			// overlay, so a net of that name is a global of this run.
 			gn := m.g.NetByName(n.Name)
 			if gn == nil {
 				return fmt.Errorf("core: pattern global net %q absent from circuit %s", n.Name, m.g.Name)
-			}
-			if !gn.Global {
-				return fmt.Errorf("core: net %q is global in the pattern but not in circuit %s", n.Name, m.g.Name)
 			}
 			if err := prematch(n, gn, label.GlobalLabel(n.Name)); err != nil {
 				return err
@@ -343,7 +335,7 @@ func (p *p2region) extract(c label.VID) bool {
 				continue
 			}
 			if nv < nd {
-				if p.m.consumed[nv] {
+				if p.m.consumedDev(label.VID(nv)) {
 					continue
 				}
 				p.ballDevs++
@@ -422,11 +414,6 @@ func sizeVIDs(s []label.VID, n int) []label.VID {
 	return s[:n]
 }
 
-// consumedDev mirrors phase2.consumedDev.
-func (p *p2region) consumedDev(v label.VID) bool {
-	return p.gSpace.IsDevice(v) && p.m.consumed[v]
-}
-
 // touchL registers a label write on a region-local vertex.
 func (p *p2region) touchL(lv int32) {
 	if !p.lInT[lv] {
@@ -478,7 +465,7 @@ func (p *p2region) verifyCandidate(key, c label.VID) *Instance {
 
 // verify is the untraced body of verifyCandidate.
 func (p *p2region) verify(key, c label.VID) *Instance {
-	if p.consumedDev(c) {
+	if p.m.consumedDev(c) {
 		return nil
 	}
 	for _, gv := range p.fixedGvid {
@@ -634,7 +621,7 @@ func (p *p2region) relabelL(lv int32) (label.Value, bool) {
 	gv := p.ball[lv]
 	g := p.g
 	if int(gv) < g.NumDevs && acc == 0 && !p.pat.wildcards {
-		acc = p.devLab[gv]
+		acc = g.TypeLab[g.DevType[gv]]
 	}
 	triggered := false
 	for e := g.Start[gv]; e < g.Start[gv+1]; e++ {
@@ -799,15 +786,15 @@ func (p *p2region) compatible(sv, gv label.VID) bool {
 		return false
 	}
 	if p.sSpace.IsDevice(sv) {
-		if p.sPins[sv] != p.devPins[gv] {
+		if p.sPins[sv] != p.g.Degree(int32(gv)) {
 			return false
 		}
-		return p.sWild[sv] || p.sTID[sv] == p.devTID[gv]
+		return p.sWild[sv] || p.sTID[sv] == p.g.DevType[gv]
 	}
 	if p.ablateDeg {
 		return true
 	}
-	gdeg := p.gNetDeg[int(gv)-p.g.NumDevs]
+	gdeg := p.g.Degree(int32(gv))
 	if p.sPort[sv] {
 		return gdeg >= p.sNetDeg[sv]
 	}
@@ -953,7 +940,7 @@ func (p *p2region) verifyMapping() bool {
 		gnet := p.gSpace.Net(label.VID(p.ball[p.sMatch[p.sSpace.NetVID(n)]]))
 		switch {
 		case n.Global:
-			if !gnet.Global || gnet.Name != n.Name {
+			if gnet.Name != n.Name || !p.pat.globals.has(int32(gnet.Index)) {
 				return false
 			}
 		case n.Port:

@@ -68,6 +68,57 @@ func TestInverterInNAND(t *testing.T) {
 	}
 }
 
+// TestLaterGlobalMarkStalesView pins the compiled-view contract for global
+// marks made after a view is built: the view records the circuit's marks,
+// so a supplied view, or a matcher's cached one, built before
+// g.MarkGlobal no longer fits and the run sees the new special signals
+// (Fig. 7: the inverter is no longer found inside the NAND2).
+func TestLaterGlobalMarkStalesView(t *testing.T) {
+	build := func() *graph.Circuit {
+		g := graph.New("nandckt")
+		nets := map[string]*graph.Net{}
+		for _, n := range []string{"A", "B", "Y", "VDD", "GND"} {
+			nets[n] = g.AddNet(n)
+		}
+		stdcell.NAND2.MustInstantiate(g, "u1", nets)
+		return g
+	}
+	count := func(m *Matcher) int {
+		t.Helper()
+		res, err := m.Find(stdcell.INV.Pattern())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Instances)
+	}
+
+	g := build()
+	view := NewCSR(g)
+	g.MarkGlobal("VDD")
+	g.MarkGlobal("GND")
+	m, err := NewMatcher(g, Options{CSR: view})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := count(m); got != 0 {
+		t.Errorf("supplied view built before MarkGlobal: %d instances, want 0", got)
+	}
+
+	g = build()
+	m, err = NewMatcher(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := count(m); got != 1 {
+		t.Fatalf("before MarkGlobal: %d instances, want 1", got)
+	}
+	g.MarkGlobal("VDD")
+	g.MarkGlobal("GND")
+	if got := count(m); got != 0 {
+		t.Errorf("cached view after MarkGlobal: %d instances, want 0", got)
+	}
+}
+
 func TestNandInMixedCircuit(t *testing.T) {
 	g := graph.New("mixed")
 	vdd, gnd := g.AddNet("VDD"), g.AddNet("GND")

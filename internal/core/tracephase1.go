@@ -33,12 +33,13 @@ func newPhase1Tracer(p *phase1) *phase1Tracer {
 	t := &phase1Tracer{p: p, symbols: map[label.Value]string{}}
 	// Pre-name the invariant labels so the rendering reads like Fig. 2:
 	// degrees as numbers, device types as their names.
-	for _, d := range p.m.g.Devices {
-		t.symbols[p.m.typeLabel(d.Type)] = d.Type
+	view := p.m.gCSR
+	for i, lab := range view.TypeLab {
+		t.symbols[lab] = view.Types[i]
 	}
 	for _, d := range p.pat.s.Devices {
 		if d.Type != "*" {
-			t.symbols[p.m.typeLabel(d.Type)] = d.Type
+			t.symbols[label.TypeLabel(d.Type)] = d.Type
 		}
 	}
 	for deg := 0; deg <= 64; deg++ {

@@ -13,7 +13,7 @@ import "subgemini/internal/graph"
 //   - every internal pattern net maps to a net of equal degree (induced
 //     subgraph: internal nets may not connect outside the instance);
 //   - every port maps to a net of at least its degree;
-//   - every global maps to the identically named global.
+//   - every global maps to the identically named global of the run.
 func (p *phase2) verifyMapping() bool {
 	// Injectivity, tracked with the reusable round-marker array (device and
 	// net VIDs are disjoint, so one sweep covers both).
@@ -52,7 +52,7 @@ func (p *phase2) verifyMapping() bool {
 		gnet := p.gSpace.Net(p.sMatch[p.sSpace.NetVID(n)])
 		switch {
 		case n.Global:
-			if !gnet.Global || gnet.Name != n.Name {
+			if gnet.Name != n.Name || !p.pat.globals.has(int32(gnet.Index)) {
 				return false
 			}
 		case n.Port:

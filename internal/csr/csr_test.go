@@ -94,9 +94,60 @@ func TestFitsRejectsDifferentCircuit(t *testing.T) {
 	}
 }
 
+// TestFitsRejectsLaterGlobalMark: a view records the circuit's global
+// marks, so a mark made after the build makes it stale; re-marking a net
+// that is already global, or naming no net, changes nothing.
+func TestFitsRejectsLaterGlobalMark(t *testing.T) {
+	c := chain(10)
+	c.MarkGlobal("n1")
+	g := New(c)
+	c.MarkGlobal("n1")
+	c.MarkGlobal("nosuchnet")
+	if !g.Fits(c) {
+		t.Fatal("Fits rejected a circuit whose global marks did not change")
+	}
+	c.MarkGlobal("n2")
+	if g.Fits(c) {
+		t.Fatal("Fits accepted a view built before a later MarkGlobal")
+	}
+	if !New(c).Fits(c) {
+		t.Fatal("Fits rejected a fresh view")
+	}
+}
+
 func TestEmptyCircuit(t *testing.T) {
 	g := New(graph.New("empty"))
 	if g.Size() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty circuit: Size=%d NumEdges=%d", g.Size(), g.NumEdges())
+	}
+}
+
+// TestCompiledFacts checks the query-independent per-vertex facts a view
+// carries: type ids and labels, pin counts and net degrees as Start
+// differences, and the base global nets.
+func TestCompiledFacts(t *testing.T) {
+	c := chain(30)
+	c.MarkGlobal("n4")
+	c.MarkGlobal("n0")
+	g := New(c)
+	for _, d := range c.Devices {
+		id := g.DevType[d.Index]
+		if g.Types[id] != d.Type || g.TypeLab[id] != label.TypeLabel(d.Type) || g.TypeID(d.Type) != id {
+			t.Fatalf("device %s: type id %d (%q), want %q", d.Name, id, g.Types[id], d.Type)
+		}
+		if int(g.Degree(int32(d.Index))) != len(d.Pins) {
+			t.Fatalf("device %s: Degree %d, want %d pins", d.Name, g.Degree(int32(d.Index)), len(d.Pins))
+		}
+	}
+	for _, n := range c.Nets {
+		if int(g.Degree(int32(g.NumDevs+n.Index))) != n.Degree() {
+			t.Fatalf("net %s: Degree %d, want %d", n.Name, g.Degree(int32(g.NumDevs+n.Index)), n.Degree())
+		}
+	}
+	if len(g.Types) != 2 || g.TypeID("res") != -1 {
+		t.Errorf("type table %v, want nmos and pmos only", g.Types)
+	}
+	if want := []int32{0, 4}; len(g.Globals) != 2 || g.Globals[0] != want[0] || g.Globals[1] != want[1] {
+		t.Errorf("Globals = %v, want %v", g.Globals, want)
 	}
 }

@@ -27,11 +27,15 @@ type Remap struct {
 // old view (including every added vertex); every other surviving vertex
 // must have its pin/connection list unchanged up to the index remap.
 //
-// The result is bit-identical to New(c): a spliced row holds the same
-// neighbor indices (remapped) and the same multipliers in the same order,
-// because circuit edits preserve the relative order of surviving pins and
-// connections.  rebuilt reports whether the degradation threshold forced a
-// full New build instead (the caller feeds it into the csr-rebuild metric).
+// The result is bit-identical to New(c) in its adjacency: a spliced row
+// holds the same neighbor indices (remapped) and the same multipliers in
+// the same order, because circuit edits preserve the relative order of
+// surviving pins and connections.  Type ids are carried rather than
+// reinterned, so the type table may keep a type no device has any more
+// and number types differently from New(c); each device still names the
+// same type string and label.  rebuilt reports whether the degradation
+// threshold forced a full New build instead (the caller feeds it into the
+// csr-rebuild metric).
 func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32) (g *Graph, rebuilt bool) {
 	nd, nn := c.NumDevices(), c.NumNets()
 	if old == nil || len(rm.Dev) != old.NumDevs || len(rm.Net) != old.NumNets {
@@ -127,5 +131,19 @@ func Patch(old *Graph, c *graph.Circuit, rm Remap, dirtyDevs, dirtyNets []int32)
 			}
 		}
 	}
+
+	// Clean devices keep their type ids; only dirty (or added) devices are
+	// looked up, extending the carried type table when a type is new.
+	g.DevType = make([]int32, nd)
+	tt := newTypeTable(old.Types, old.TypeLab)
+	for v := 0; v < nd; v++ {
+		if ov := oldRow[v]; ov >= 0 {
+			g.DevType[v] = old.DevType[ov]
+		} else {
+			g.DevType[v] = tt.id(c.Devices[v].Type)
+		}
+	}
+	g.Types, g.TypeLab = tt.types, tt.labs
+	g.Globals, g.GlobalMarks = globalNets(c), c.GlobalMarks()
 	return g, false
 }

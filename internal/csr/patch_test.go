@@ -2,6 +2,7 @@ package csr
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"subgemini/internal/graph"
@@ -81,6 +82,50 @@ func sameGraph(t *testing.T, got, want *Graph, what string) {
 		if got.Mul[i] != want.Mul[i] {
 			t.Fatalf("%s: Mul[%d] = %#x, want %#x", what, i, got.Mul[i], want.Mul[i])
 		}
+	}
+	// Type ids may be numbered differently (Patch carries the old table);
+	// each device must still name the same type and label.
+	for d := 0; d < want.NumDevs; d++ {
+		gt, wt := got.DevType[d], want.DevType[d]
+		if got.Types[gt] != want.Types[wt] || got.TypeLab[gt] != want.TypeLab[wt] {
+			t.Fatalf("%s: device %d type %q, want %q", what, d, got.Types[gt], want.Types[wt])
+		}
+	}
+	if !slices.Equal(got.Globals, want.Globals) {
+		t.Fatalf("%s: Globals = %v, want %v", what, got.Globals, want.Globals)
+	}
+}
+
+// TestPatchNewTypeLeavesOldTable adds devices of two types the old view
+// has never seen: the patched view must extend a copy of the type table,
+// never the old view's own, which concurrent readers may hold.
+func TestPatchNewTypeLeavesOldTable(t *testing.T) {
+	c := chain(40)
+	c.MarkGlobal("n1")
+	old := New(c)
+	types := append([]string(nil), old.Types...)
+	s := newEditState(c)
+	d, err := c.AddDevice("r0", "res", []graph.TermClass{0, 0}, []*graph.Net{c.Nets[3], c.Nets[7]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := c.AddDevice("c0", "cap", []graph.TermClass{0, 0}, []*graph.Net{c.Nets[3], c.Nets[8]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.dirtyDev[d], s.dirtyDev[d2] = true, true
+	s.dirtyNet[c.Nets[3]], s.dirtyNet[c.Nets[7]], s.dirtyNet[c.Nets[8]] = true, true, true
+	rm, dd, dn := s.finish()
+	got, rebuilt := Patch(old, c, rm, dd, dn)
+	if rebuilt {
+		t.Fatal("Patch rebuilt a one-device edit")
+	}
+	sameGraph(t, got, New(c), "patched")
+	if !slices.Equal(old.Types, types) || len(old.TypeLab) != len(types) {
+		t.Errorf("old type table changed: %v, want %v", old.Types, types)
+	}
+	if got.Types[got.DevType[d.Index]] != "res" || got.Types[got.DevType[d2.Index]] != "cap" {
+		t.Errorf("added devices have types %q, %q, want res, cap", got.Types[got.DevType[d.Index]], got.Types[got.DevType[d2.Index]])
 	}
 }
 

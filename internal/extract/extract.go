@@ -135,10 +135,15 @@ func Cells(c *graph.Circuit, cells []*stdcell.CellDef, opts Options) ([]Extracti
 // cell's result — not even a zero count — can be precomputed on the
 // unmutated circuit.  What can be amortized safely is amortized: one
 // Phase II scratch pool serves every round (it re-checks sizes, so the
-// shrinking circuit is fine), and one matcher — with its cached CSR view
-// and initial labeling — is reused across consecutive rounds that extract
-// nothing and therefore leave the circuit untouched.
+// shrinking circuit is fine), and one matcher — with its compiled view —
+// is reused across consecutive rounds that extract nothing and therefore
+// leave the circuit untouched.
+//
+// The circuit is rewritten in place, so it also gets opts.Globals marked
+// global: they are special signals of the extracted netlist (written out
+// with .GLOBAL).
 func Specs(c *graph.Circuit, specs []Spec, opts Options) ([]Extraction, error) {
+	markGlobals(c, &opts)
 	ordered := append([]Spec(nil), specs...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if a, b := ordered[i].Size(), ordered[j].Size(); a != b {
@@ -162,13 +167,23 @@ func Specs(c *graph.Circuit, specs []Spec, opts Options) ([]Extraction, error) {
 			return result, fmt.Errorf("extract: %s: %w", spec.Name, err)
 		}
 		if count > 0 {
-			// The circuit changed shape; the matcher's cached views are
+			// The circuit changed shape; the matcher's compiled view is
 			// stale and its consumed marks refer to removed devices.
 			m = nil
 		}
 		result = append(result, Extraction{Cell: spec.Name, Count: count})
 	}
 	return result, nil
+}
+
+// markGlobals marks the special signals on the circuit extraction
+// rewrites.  The matcher treats Options.Globals as a per-run overlay and
+// never writes them to its main circuit; extraction owns c, and its
+// output keeps the rails global.
+func markGlobals(c *graph.Circuit, opts *Options) {
+	for _, name := range opts.Globals {
+		c.MarkGlobal(name)
+	}
 }
 
 // extractMatcher builds the NonOverlapping matcher one() drives.
@@ -183,8 +198,9 @@ func extractMatcher(c *graph.Circuit, opts *Options, scratch *core.ScratchPool) 
 }
 
 // One extracts a single cell from the circuit in place and returns how many
-// instances were replaced.
+// instances were replaced.  Like Specs, it marks opts.Globals on c.
 func One(c *graph.Circuit, cell *stdcell.CellDef, opts Options) (int, error) {
+	markGlobals(c, &opts)
 	serial := 0
 	m, err := extractMatcher(c, &opts, nil)
 	if err != nil {
@@ -244,7 +260,9 @@ func one(c *graph.Circuit, cell Spec, opts *Options, serial *int, m *core.Matche
 		nets := make([]*graph.Net, len(r.nets))
 		for i, n := range r.nets {
 			nets[i] = c.AddNet(n.Name)
-			nets[i].Global = nets[i].Global || n.Global
+			if n.Global {
+				c.MarkGlobal(n.Name)
+			}
 		}
 		if _, err := c.AddDevice(r.name, cell.Name, classes, nets); err != nil {
 			return 0, err

@@ -77,7 +77,8 @@ type Net struct {
 
 	// Global marks the net as a special signal (Vdd, GND, clk, ...).  Global
 	// nets are matched by name rather than by structure and are never
-	// labeled (paper §V.A).
+	// labeled (paper §V.A).  Once a circuit is built, set it through
+	// Circuit.MarkGlobal, which compiled views watch.
 	Global bool
 }
 
@@ -93,6 +94,10 @@ type Circuit struct {
 
 	netByName map[string]*Net
 	devByName map[string]*Device
+
+	// globalMarks counts the nets MarkGlobal has flagged, so a compiled
+	// view can tell that marks were made after it was built.
+	globalMarks uint64
 }
 
 // New returns an empty circuit with the given name.
@@ -174,10 +179,15 @@ func (c *Circuit) MarkPort(name string) error {
 // a no-op when the net does not exist, because a circuit need not use every
 // declared global.
 func (c *Circuit) MarkGlobal(name string) {
-	if n := c.netByName[name]; n != nil {
+	if n := c.netByName[name]; n != nil && !n.Global {
 		n.Global = true
+		c.globalMarks++
 	}
 }
+
+// GlobalMarks returns the number of nets MarkGlobal has flagged so far.
+// A compiled view records it and goes stale when it changes.
+func (c *Circuit) GlobalMarks() uint64 { return c.globalMarks }
 
 // Ports returns the port nets in index order.
 func (c *Circuit) Ports() []*Net {

@@ -24,21 +24,23 @@ import (
 // so an unknown kind would be invisible there (it still shows up in the
 // timeline itself).
 const (
-	KindQueueWait   = "queue-wait"   // admission semaphore / job queue wait
-	KindShedCheck   = "shed-check"   // load-shed admission decision
-	KindStoreGet    = "store-get"    // circuit store handle acquisition
-	KindCSRBuild    = "csr-build"    // CSR adjacency construction
-	KindPhase1      = "phase1"       // SubGemini Phase I relabeling
-	KindPhase2      = "phase2"       // SubGemini Phase II verification
-	KindCacheLookup = "cache-lookup" // pattern / result-cache lookup
-	KindPersist     = "persist"      // store write (PUT, PATCH, pattern save)
-	KindEncode      = "encode"       // response encoding and write
+	KindQueueWait    = "queue-wait"    // admission semaphore / job queue wait
+	KindShedCheck    = "shed-check"    // load-shed admission decision
+	KindStoreGet     = "store-get"     // circuit store handle acquisition
+	KindCSRBuild     = "csr-build"     // CSR adjacency construction
+	KindMatcherSetup = "matcher-setup" // view adoption, global overlay, initial labels
+	KindPhase1       = "phase1"        // SubGemini Phase I relabeling
+	KindPhase2       = "phase2"        // SubGemini Phase II verification
+	KindCacheLookup  = "cache-lookup"  // pattern / result-cache lookup
+	KindPersist      = "persist"       // store write (PUT, PATCH, pattern save)
+	KindEncode       = "encode"        // response encoding and write
 )
 
 // SpanKinds enumerates every span kind in the order /metrics renders them.
 var SpanKinds = []string{
 	KindQueueWait, KindShedCheck, KindStoreGet, KindCSRBuild,
-	KindPhase1, KindPhase2, KindCacheLookup, KindPersist, KindEncode,
+	KindMatcherSetup, KindPhase1, KindPhase2, KindCacheLookup, KindPersist,
+	KindEncode,
 }
 
 // SpanRef identifies a span inside one Timeline.  NoSpan is the nil value:

@@ -439,22 +439,14 @@ func (s *Server) matchError(ctx context.Context, err error, timeout time.Duratio
 }
 
 // executeMatch runs the match itself against an acquired circuit handle:
-// global pre-marking under the entry lock, matcher construction sharing
-// the entry's CSR view and scratch pool, and result conversion.  Both the
-// synchronous path and job runners land here.
+// matcher construction sharing the entry's compiled view and scratch pool,
+// and result conversion.  Request globals go in as core.Options.Globals, a
+// per-run overlay: they are marked on the private pattern clone only and
+// never on the shared circuit, so they cannot leak into later requests.
+// Both the synchronous path and job runners land here.
 func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph.Circuit, h *store.Handle) (*matchReply, error) {
-	// Request-level globals are marked on the private pattern clone; the
-	// shared circuit gets its marks during lock acquisition below, so the
-	// match itself never writes to shared state.
-	for _, name := range req.Globals {
-		pat.MarkGlobal(name)
-	}
-	names := append([]string(nil), req.Globals...)
-	for _, n := range pat.Globals() {
-		names = append(names, n.Name)
-	}
-
 	opts := core.Options{
+		Globals:      req.Globals,
 		Bind:         req.Bind,
 		MaxInstances: req.Max,
 		Cancel:       s.cancelHook(ctx),
@@ -480,7 +472,6 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 	}
 	opts.Workers = p1w
 
-	h.RLockWithGlobals(names)
 	m, err := core.NewMatcher(h.Circuit(), opts)
 	var res *core.Result
 	var inc *IncrementalJSON
@@ -516,7 +507,6 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 			res, err = m.Find(pat)
 		}
 	}
-	h.RUnlock()
 	if err != nil {
 		return nil, err
 	}

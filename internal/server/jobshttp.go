@@ -248,11 +248,8 @@ func (s *Server) runExtractJob(ctx context.Context, req *ExtractRequest) (*Extra
 	defer h.Release()
 
 	// Extraction mutates its circuit in place, so it must run on a private
-	// clone; the read lock covers the clone against a concurrent global
-	// re-mark on the shared entry.
-	h.RLock()
+	// clone of the read-only shared entry.
 	ckt := h.Circuit().Clone()
-	h.RUnlock()
 
 	globals := append([]string(nil), h.Globals()...)
 	globals = append(globals, req.Globals...)

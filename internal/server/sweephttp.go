@@ -291,22 +291,14 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest) (*sweepReply, 
 	return resp, nil
 }
 
-// executeSweep runs the sweep against an acquired circuit handle: global
-// pre-marking under the entry lock, then sweep.Run sharing the entry's CSR
-// view and scratch pool.  Both the synchronous path and the job runners
-// land here; incremental selects whether per-pattern runs consult the
-// versioned result cache (results are identical either way).
+// executeSweep runs the sweep against an acquired circuit handle: sweep.Run
+// sharing the entry's compiled view and scratch pool, with the request
+// globals as a per-run overlay (sweep.Run adds each pattern's declared
+// globals itself and never writes to the shared circuit).  Both the
+// synchronous path and the job runners land here; incremental selects
+// whether per-pattern runs consult the versioned result cache (results are
+// identical either way).
 func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []sweep.Pattern, h *store.Handle, incremental bool) (*sweepReply, error) {
-	// Every global the sweep would mark on the shared circuit must be
-	// pre-marked under the entry write lock: request globals plus each
-	// pattern's declared globals (the circuit's own are already marked).
-	names := append([]string(nil), req.Globals...)
-	for _, p := range lib {
-		for _, n := range p.Template.Globals() {
-			names = append(names, n.Name)
-		}
-	}
-
 	workers := req.Workers
 	if workers > s.cfg.MaxWorkers {
 		workers = s.cfg.MaxWorkers
@@ -317,7 +309,7 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 	}
 
 	sopts := sweep.Options{
-		Globals:       names,
+		Globals:       req.Globals,
 		Workers:       workers,
 		Phase1Workers: p1w,
 		MaxInstances:  req.Max,
@@ -329,9 +321,7 @@ func (s *Server) executeSweep(ctx context.Context, req *SweepRequest, lib []swee
 	if incremental {
 		sopts.Incremental = &sweepIncHook{s: s, h: h, minBase: req.SinceVersion}
 	}
-	h.RLockWithGlobals(names)
 	rep, err := sweep.Run(h.Circuit(), lib, sopts)
-	h.RUnlock()
 	if err != nil {
 		return nil, err
 	}

@@ -404,3 +404,33 @@ func TestEncodeSpanOnKeptTimelines(t *testing.T) {
 		}
 	}
 }
+
+// TestMatcherSetupSpanOnKeptTimeline: a /v1/match timeline attributes the
+// per-run matcher setup (view adoption, global overlay, initial labels)
+// to one matcher-setup span that closes before Phase I starts.
+func TestMatcherSetupSpanOnKeptTimeline(t *testing.T) {
+	s, _ := newAdderServer(t, func(c *Config) { c.FlightSampleN = 1 })
+	rec := do(t, s, "POST", "/v1/match", MatchRequest{Pattern: "FA", Globals: []string{"c3"}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	tls := debugFind(t, s, rec.Header().Get("X-Request-Id"))
+	if len(tls) != 1 {
+		t.Fatalf("recorder holds %d timelines, want 1", len(tls))
+	}
+	var setup, p1 []obs.SpanJSON
+	for _, sp := range tls[0].Spans {
+		switch sp.Kind {
+		case obs.KindMatcherSetup:
+			setup = append(setup, sp)
+		case obs.KindPhase1:
+			p1 = append(p1, sp)
+		}
+	}
+	if len(setup) != 1 || setup[0].Name != "FA" || setup[0].Open {
+		t.Fatalf("matcher-setup spans %+v, want one closed span named FA", setup)
+	}
+	if len(p1) != 1 || p1[0].StartUS < setup[0].StartUS+setup[0].DurUS {
+		t.Errorf("phase1 spans %+v do not follow the setup span %+v", p1, setup[0])
+	}
+}

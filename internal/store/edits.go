@@ -58,9 +58,7 @@ func (st *Store) ApplyEdits(name string, ops []delta.Op) (Info, error) {
 	defer h.Release()
 	old := h.e
 
-	h.RLock()
 	clone := old.ckt.Clone()
-	h.RUnlock()
 
 	version := old.version + 1
 	step, err := delta.Apply(clone, version, ops)
@@ -229,9 +227,7 @@ func (st *Store) Flush() error {
 // stays valid on failure (the log still holds the tail); the error feeds
 // Healthy via the snapshot writer.
 func (st *Store) compactEntry(e *Entry) error {
-	e.markMu.RLock()
 	file, err := st.writeSnapshot(e.name, e.ckt)
-	e.markMu.RUnlock()
 	if err != nil {
 		st.log.Warn("circuit compaction failed", "circuit", e.name, "err", err)
 		return err

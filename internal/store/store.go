@@ -118,9 +118,11 @@ func (st *Store) noteIO(err error) {
 	st.unhealthy.Store(err != nil)
 }
 
-// Entry is one named circuit.  The circuit pointer, CSR view, and scratch
-// pool are fixed for the entry's lifetime while resident; only the global
-// marks on the circuit change, under markMu.
+// Entry is one named circuit version.  The circuit, its compiled view
+// (core.CSR: adjacency, device type ids, base globals) and the scratch
+// pool are fixed for the entry's lifetime while resident, and nothing on
+// the match or sweep path writes to the circuit: request globals are a
+// per-run overlay in the matcher, so entries need no lock.
 type Entry struct {
 	name    string // store key
 	display string // circuit's own name (may differ from the key)
@@ -131,9 +133,6 @@ type Entry struct {
 	elem *list.Element
 	refs int
 
-	// markMu guards the monotonic global-net marks: matches hold RLock for
-	// their whole run, markers take Lock.  See Handle.RLockWithGlobals.
-	markMu   sync.RWMutex
 	ckt      *graph.Circuit
 	view     *core.CSR
 	scratch  core.ScratchPool
@@ -224,15 +223,17 @@ func ValidName(name string) bool {
 }
 
 // estimateBytes approximates the resident footprint of a circuit plus its
-// CSR view and scratch pool.  The constants cover the graph structs, name
-// strings, adjacency slices, and the CSR's flat arrays; the estimate only
-// needs to be proportional, since the budget it feeds is itself a knob.
+// compiled view and scratch pool.  The constants cover the graph structs,
+// name strings, adjacency slices, and the view's flat arrays (the last
+// term is its int32 type id per device); the estimate only needs to be
+// proportional, since the budget it feeds is itself a knob.
 func estimateBytes(c *graph.Circuit) int64 {
-	return int64(c.NumDevices())*160 + int64(c.NumNets())*120 + int64(c.NumPins())*96
+	return int64(c.NumDevices())*160 + int64(c.NumNets())*120 + int64(c.NumPins())*96 +
+		int64(c.NumDevices())*4
 }
 
 // Put installs (or replaces) the named entry, marking the store-level
-// globals on the circuit, building its CSR view, and — with a data
+// globals on the circuit, compiling its view, and — with a data
 // directory — writing its snapshot and the updated manifest before the
 // entry becomes visible.  In-flight matches against a replaced entry keep
 // running against the old circuit through their handles.
@@ -456,8 +457,8 @@ func (st *Store) release(e *Entry) {
 	st.mu.Unlock()
 }
 
-// Handle is a ref-counted lease on an entry.  It exposes the shared
-// circuit state a match needs and the entry-level lock protocol.
+// Handle is a ref-counted lease on an entry.  It exposes the shared,
+// read-only circuit state a match needs.
 type Handle struct {
 	st       *Store
 	e        *Entry
@@ -467,11 +468,11 @@ type Handle struct {
 // Name returns the store key.
 func (h *Handle) Name() string { return h.e.name }
 
-// Circuit returns the shared circuit.  Callers must follow the lock
-// protocol: hold RLockWithGlobals (or RLock) while reading it.
+// Circuit returns the shared circuit.  It is read-only: callers that need
+// to change it (extraction, edits) work on a Clone.
 func (h *Handle) Circuit() *graph.Circuit { return h.e.ckt }
 
-// CSR returns the entry's prebuilt flat view, shareable across matchers.
+// CSR returns the entry's compiled view, shareable across matchers.
 func (h *Handle) CSR() *core.CSR { return h.e.view }
 
 // Scratch returns the entry's Phase II scratch pool.
@@ -495,38 +496,11 @@ func (h *Handle) Release() {
 	h.st.release(h.e)
 }
 
-// RLock takes the entry read lock without marking anything; use it for
-// read-only access (cloning, shape queries) that tolerates current marks.
-func (h *Handle) RLock() { h.e.markMu.RLock() }
+// RLockWithGlobals and RUnlock are no-ops kept for source compatibility
+// with callers written for the former global-marking lock protocol: the
+// match path no longer writes to the shared circuit (core applies request
+// globals as a per-run overlay), so an entry needs no lock.
+func (h *Handle) RLockWithGlobals(names []string) {}
 
-// RUnlock releases the entry read lock.
-func (h *Handle) RUnlock() { h.e.markMu.RUnlock() }
-
-// RLockWithGlobals acquires the entry read lock with every given net name
-// already marked global on the circuit.  Marking needs the write lock, so
-// the fast path checks under RLock and upgrades only when a mark is
-// missing; marks are monotonic and the entry's circuit pointer never
-// changes, so one upgrade round suffices.  Once this returns, the
-// matcher's own global marking finds every mark already set and the match
-// reads the shared circuit strictly read-only.
-func (h *Handle) RLockWithGlobals(names []string) {
-	e := h.e
-	e.markMu.RLock()
-	missing := false
-	for _, name := range names {
-		if n := e.ckt.NetByName(name); n != nil && !n.Global {
-			missing = true
-			break
-		}
-	}
-	if !missing {
-		return
-	}
-	e.markMu.RUnlock()
-	e.markMu.Lock()
-	for _, name := range names {
-		e.ckt.MarkGlobal(name)
-	}
-	e.markMu.Unlock()
-	e.markMu.RLock()
-}
+// RUnlock is the no-op counterpart of RLockWithGlobals.
+func (h *Handle) RUnlock() {}

@@ -38,17 +38,12 @@ func parseMain(t *testing.T, src, name string) *graph.Circuit {
 }
 
 // match runs one FA (or given cell) match through a handle the way the
-// server does: globals pre-marked via the entry lock, shared CSR and
-// scratch pool.
+// server does: request globals as an overlay, shared compiled view and
+// scratch pool, the shared circuit only read.
 func match(t *testing.T, h *Handle, cell string) int {
 	t.Helper()
 	pat := stdcell.Get(cell).Pattern()
-	for _, g := range rails {
-		pat.MarkGlobal(g)
-	}
-	h.RLockWithGlobals(rails)
-	defer h.RUnlock()
-	m, err := core.NewMatcher(h.Circuit(), core.Options{CSR: h.CSR(), Scratch: h.Scratch()})
+	m, err := core.NewMatcher(h.Circuit(), core.Options{Globals: rails, CSR: h.CSR(), Scratch: h.Scratch()})
 	if err != nil {
 		t.Fatal(err)
 	}

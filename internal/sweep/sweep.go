@@ -4,14 +4,14 @@
 //
 // The headline SubGemini workload (paper §VI) is not one pattern against
 // one circuit — it is an entire cell library swept over a netlist.  A
-// naive loop pays three per-pattern costs that do not depend on the
-// pattern at all: building the main graph's CSR view, computing its
-// initial Phase I labeling, and allocating Phase II scratch state.  Run
-// pays each exactly once — the CSR view and initial labeling are computed
-// up front and shared read-only (core.Options.CSR / core.Options.InitLabels),
-// and one core.ScratchPool recycles Phase II state across all per-pattern
-// matchers — then schedules the per-pattern Phase I refinement + Phase II
-// over a bounded worker pool.
+// naive loop pays per-pattern costs that do not depend on the pattern at
+// all: compiling the main graph's view and allocating Phase II scratch
+// state.  Run pays each exactly once — the compiled view (core.CSR, from
+// which every run computes its initial labels with flat array reads) is
+// shared read-only through core.Options.CSR, and one core.ScratchPool
+// recycles Phase II state across all per-pattern matchers — then
+// schedules the per-pattern Phase I refinement + Phase II over a bounded
+// worker pool.
 //
 // Patterns that are structurally identical (same devices, terminal
 // classes, connectivity, port and global marks — only names differing) are
@@ -64,7 +64,9 @@ type Options struct {
 	// Globals lists net names treated as special signals (paper §V.A).
 	// The effective set is the union of this list, the main circuit's
 	// marked globals, and every pattern's marked globals, applied to all
-	// circuits by name before any matching starts.
+	// circuits by name: marked on the pattern clones, and passed to every
+	// per-pattern run as its core.Options.Globals overlay on the main
+	// circuit, which is never written.
 	Globals []string
 
 	// Workers bounds how many patterns are matched concurrently
@@ -186,11 +188,10 @@ func (r *Report) Instances() int {
 // The patterns' matched instances are identical to what a sequential
 // per-pattern core.Find loop with the same options would produce.
 //
-// Run marks the union of special signals on g by name before matching
-// (nets already marked are left untouched), and from then on only reads
-// g — the same discipline core.Find follows, so a long-lived caller can
-// serialize the marking and run sweeps concurrently with other matches
-// over the same resident circuit.
+// Run only reads g: the union of special signals is marked on its private
+// pattern clones and handed to each run as a per-run overlay, so a
+// long-lived caller can run sweeps concurrently with other matches over
+// the same resident circuit without any locking.
 func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	start := time.Now()
 	if g == nil {
@@ -207,15 +208,26 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 		clones[i] = patterns[i].Template.Clone()
 	}
 
+	// Shared main-graph state, built once for the whole sweep.
+	view := opts.CSR
+	if view == nil || !view.Fits(g) {
+		view = core.NewCSR(g)
+	}
+	scratch := opts.Scratch
+	if scratch == nil {
+		scratch = &core.ScratchPool{}
+	}
+
 	// Apply the union of special signals to every circuit by name (the
 	// Fig. 7 semantics core.Find applies pairwise), so all per-pattern
-	// runs agree on the set and no matcher ever writes to shared state.
+	// runs agree on the set: marked on the clones, an overlay on g (whose
+	// own globals are the view's base globals).
 	union := map[string]bool{}
 	for _, name := range opts.Globals {
 		union[name] = true
 	}
-	for _, n := range g.Globals() {
-		union[n.Name] = true
+	for _, i := range view.Globals {
+		union[g.Nets[i].Name] = true
 	}
 	for _, c := range clones {
 		for _, n := range c.Globals() {
@@ -228,11 +240,6 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		// Check-first on the main graph: marks are monotonic, and writing
-		// an already-set flag would race with concurrent readers.
-		if n := g.NetByName(name); n != nil && !n.Global {
-			n.Global = true
-		}
 		for _, c := range clones {
 			c.MarkGlobal(name)
 		}
@@ -258,17 +265,6 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 		}
 	}
 
-	// Shared main-graph state, built once for the whole sweep.
-	view := opts.CSR
-	if view == nil {
-		view = core.NewCSR(g)
-	}
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = &core.ScratchPool{}
-	}
-	init := core.NewInitLabels(g)
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -285,7 +281,7 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i], errs[i] = runOne(g, clones[i], view, scratch, init, &opts)
+				results[i], errs[i] = runOne(g, clones[i], view, scratch, names, &opts)
 			}
 		}()
 	}
@@ -327,11 +323,12 @@ func Run(g *graph.Circuit, patterns []Pattern, opts Options) (*Report, error) {
 }
 
 // runOne matches a single pattern clone using the sweep's shared state.
-func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, init *core.InitLabels, opts *Options) (*core.Result, error) {
+func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, globals []string, opts *Options) (*core.Result, error) {
 	if err := faults.Fire("sweep.worker"); err != nil {
 		return nil, err
 	}
 	copts := core.Options{
+		Globals:      globals,
 		Policy:       core.MatchAll,
 		MaxInstances: opts.MaxInstances,
 		Seed:         opts.Seed,
@@ -339,7 +336,6 @@ func runOne(g, pat *graph.Circuit, view *core.CSR, scratch *core.ScratchPool, in
 		Cancel:       opts.Cancel,
 		CSR:          view,
 		Scratch:      scratch,
-		InitLabels:   init,
 		LegacyPhase2: opts.LegacyPhase2,
 		Observe:      opts.Observe,
 	}

@@ -89,9 +89,10 @@ type (
 	Matcher = core.Matcher
 	// OverlapPolicy selects MatchAll or NonOverlapping semantics.
 	OverlapPolicy = core.OverlapPolicy
-	// CircuitCSR is a flat adjacency view of a circuit; build one with
+	// CircuitCSR is the compiled view of a circuit (flat adjacency, device
+	// type ids, the nets marked global when it was built); build one with
 	// NewCircuitCSR and install it via Options.CSR so several matchers over
-	// the same circuit share one flattening.
+	// the same circuit share one compilation.
 	CircuitCSR = core.CSR
 	// ScratchPool recycles Phase II per-candidate main-graph scratch across
 	// matching runs over same-sized circuits; the zero value is ready to
@@ -99,9 +100,11 @@ type (
 	ScratchPool = core.ScratchPool
 )
 
-// NewCircuitCSR flattens a circuit into the CSR view the Phase I engine
-// runs on.  Matchers build (and cache) one on demand, so this is only
-// needed to share the view across matchers via Options.CSR.
+// NewCircuitCSR compiles a circuit into the view the matcher runs on.
+// Matchers build (and cache) one on demand, so this is only needed to
+// share the view across matchers via Options.CSR.  The view records the
+// circuit's global marks; a later MarkGlobal on the circuit makes it
+// stale, and matchers then build a fresh view rather than use it.
 func NewCircuitCSR(g *Circuit) *CircuitCSR { return core.NewCSR(g) }
 
 // Overlap policies.
