@@ -39,6 +39,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPhase1|BenchmarkFindScratch|BenchmarkMatcherSetup' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x ./internal/sweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkMatchResponseEncode' -benchtime 1x ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkCircuitClone' -benchtime 1x ./internal/graph/
 
 # Library-sweep table only: sweep vs sequential-loop timings across circuit
 # sizes and worker counts, archived as BENCH_sweep.json.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"subgemini/internal/csr"
@@ -390,24 +389,21 @@ func (m *Matcher) findReplay(pat *pattern, p1 *phase1, res *Result, prev *Increm
 		}
 	} else {
 		// Out-of-region vertices hold the previous finals; region vertices
-		// keep their fresh initial labels.  Worklists shrink to the region.
+		// keep their fresh initial labels.  Worklists shrink to the region,
+		// listed in index order by the same scan.
+		regDev := make([]int32, 0, len(region))
+		regNet := make([]int32, 0, len(region))
 		for v := 0; v < gn; v++ {
-			if depth[v] < 0 && p1.gState[v] != g1Global {
+			switch {
+			case depth[v] >= 0 && v < nd:
+				regDev = append(regDev, int32(v))
+			case depth[v] >= 0:
+				regNet = append(regNet, int32(v))
+			case p1.gState[v] != g1Global:
 				p1.gLab[v] = prevLab[v]
 				p1.gState[v] = prevState[v]
 			}
 		}
-		regDev := make([]int32, 0, len(region))
-		regNet := make([]int32, 0, len(region))
-		for _, v := range region {
-			if int(v) < nd {
-				regDev = append(regDev, v)
-			} else {
-				regNet = append(regNet, v)
-			}
-		}
-		sort.Slice(regDev, func(i, j int) bool { return regDev[i] < regDev[j] })
-		sort.Slice(regNet, func(i, j int) bool { return regNet[i] < regNet[j] })
 		p1.gActDev, p1.gActNet = regDev, regNet
 
 		if err := p1.runRegion(); err != nil {

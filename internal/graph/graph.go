@@ -303,22 +303,58 @@ func (c *Circuit) Validate() error {
 }
 
 // Clone returns a deep copy of the circuit.  The copy shares no vertices
-// with the original, so callers may mutate either independently.
+// with the original, so callers may mutate either independently.  Vertex
+// indices, names, pin order and the Port/Global flags carry over; each
+// net's connections are listed in device order, then pin order.  The
+// copy's GlobalMarks count starts at zero.
+//
+// The copy lives in a few arenas rather than one heap object per vertex:
+// one slab each of nets, devices, pins and connections.  Each device's
+// Pins and each net's Conns is a segment of its slab whose capacity is
+// capped at its own length, so an append past a segment (RewirePin or
+// AddDevice onto a net) reallocates instead of writing over the
+// neighbouring segment, and every mutator works on the copy unchanged.
 func (c *Circuit) Clone() *Circuit {
-	cp := New(c.Name)
-	for _, n := range c.Nets {
-		nn := cp.AddNet(n.Name)
-		nn.Port = n.Port
-		nn.Global = n.Global
+	nd, nn := len(c.Devices), len(c.Nets)
+	cp := &Circuit{
+		Name:      c.Name,
+		Devices:   make([]*Device, nd),
+		Nets:      make([]*Net, nn),
+		netByName: make(map[string]*Net, nn),
+		devByName: make(map[string]*Device, nd),
 	}
-	for _, d := range c.Devices {
-		classes := make([]TermClass, len(d.Pins))
-		nets := make([]*Net, len(d.Pins))
-		for i, p := range d.Pins {
-			classes[i] = p.Class
-			nets[i] = cp.Nets[p.Net.Index]
+	nconns := 0
+	for _, n := range c.Nets {
+		nconns += len(n.Conns)
+	}
+	nets := make([]Net, nn)
+	conns := make([]Conn, nconns)
+	off := 0
+	for i, n := range c.Nets {
+		// The segment starts empty; the device loop below fills it in
+		// device order.  A net's degree is its pin count, so the fill
+		// ends exactly at the capacity.
+		k := len(n.Conns)
+		nets[i] = Net{Index: i, Name: n.Name, Conns: conns[off : off : off+k], Port: n.Port, Global: n.Global}
+		off += k
+		cp.Nets[i] = &nets[i]
+		cp.netByName[n.Name] = &nets[i]
+	}
+	devs := make([]Device, nd)
+	pins := make([]Pin, c.NumPins())
+	off = 0
+	for i, d := range c.Devices {
+		k := len(d.Pins)
+		cd := &devs[i]
+		*cd = Device{Index: i, Name: d.Name, Type: d.Type, Pins: pins[off : off+k : off+k]}
+		off += k
+		for pi, p := range d.Pins {
+			n := cp.Nets[p.Net.Index]
+			cd.Pins[pi] = Pin{Class: p.Class, Net: n}
+			n.Conns = append(n.Conns, Conn{Dev: cd, Pin: pi})
 		}
-		cp.MustAddDevice(d.Name, d.Type, classes, nets)
+		cp.Devices[i] = cd
+		cp.devByName[d.Name] = cd
 	}
 	return cp
 }

@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"subgemini/internal/core"
 	"subgemini/internal/delta"
@@ -106,26 +107,40 @@ func (s *Server) incEnabled() bool { return s.rcache != nil }
 // incLookup resolves a cache entry into (previous state, dirty set) for a
 // run against the circuit version the handle leases.  minBase, when > 0,
 // refuses captures older than that version (the request's since_version
-// floor).  Any gap — cold cache, steps aged out, a concurrent PATCH racing
-// the handle — degrades to (nil, nil): a full run that re-captures.
-func (s *Server) incLookup(h *store.Handle, key string, minBase uint64) (*core.IncrementalState, *core.DirtySet, uint64) {
+// floor).  dirty supplies the dirty set from the capture's version to the
+// handle's (Server.dirtySince, or a sweep's memo of it).  Any gap — cold
+// cache, steps aged out, a concurrent PATCH racing the handle — degrades
+// to (nil, nil): a full run that re-captures.
+func (s *Server) incLookup(h *store.Handle, key string, minBase uint64, dirty func(*store.Handle, uint64) *core.DirtySet) (*core.IncrementalState, *core.DirtySet, uint64) {
 	ver, prev, ok := s.rcache.Lookup(h.Name(), key)
 	if !ok || (minBase > 0 && ver < minBase) {
 		return nil, nil, 0
 	}
-	steps, cur, ok := s.store.StepsSince(h.Name(), ver)
-	if !ok || cur != h.Version() {
-		return nil, nil, 0
-	}
-	if len(steps) == 0 {
-		// Same version: nothing dirty, every outcome replays.
-		return prev, identityDirtySet(h.CSR()), ver
-	}
-	ds, err := delta.Compose(steps)
-	if err != nil {
+	ds := dirty(h, ver)
+	if ds == nil {
 		return nil, nil, 0
 	}
 	return prev, ds, ver
+}
+
+// dirtySince composes the edit steps from version ver to the version the
+// handle leases into one dirty set, or returns nil when they cannot be
+// had: aged out of the retained window, or a concurrent PATCH has moved
+// the circuit past the handle.
+func (s *Server) dirtySince(h *store.Handle, ver uint64) *core.DirtySet {
+	steps, cur, ok := s.store.StepsSince(h.Name(), ver)
+	if !ok || cur != h.Version() {
+		return nil
+	}
+	if len(steps) == 0 {
+		// Same version: nothing dirty, every outcome replays.
+		return identityDirtySet(h.CSR())
+	}
+	ds, err := delta.Compose(steps)
+	if err != nil {
+		return nil
+	}
+	return ds
 }
 
 // identityDirtySet is the dirty set of "no edits at all": identity remaps,
@@ -145,16 +160,39 @@ func identityDirtySet(view *core.CSR) *core.DirtySet {
 // sweepIncHook adapts the daemon's result cache to sweep.Incremental for
 // one sweep invocation: the circuit name and version are pinned to the
 // acquired handle, so every per-pattern lookup and store is consistent
-// even while PATCHes land concurrently.
+// even while PATCHes land concurrently.  The patterns' captures mostly
+// share one base version, so the hook composes each base version's dirty
+// set once and hands the same set to every pattern; FindIncremental only
+// reads it.
 type sweepIncHook struct {
 	s       *Server
 	h       *store.Handle
 	minBase uint64
+
+	mu    sync.Mutex                // guards dirty; sweep workers look up concurrently
+	dirty map[uint64]*core.DirtySet // base version -> composed set, nil for a gap
 }
 
 func (hk *sweepIncHook) Lookup(pat *graph.Circuit, opts core.Options) (*core.IncrementalState, *core.DirtySet, bool) {
-	prev, ds, _ := hk.s.incLookup(hk.h, delta.PatternKey(pat, opts), hk.minBase)
+	prev, ds, _ := hk.s.incLookup(hk.h, delta.PatternKey(pat, opts), hk.minBase, hk.dirtySince)
 	return prev, ds, prev != nil
+}
+
+// dirtySince is Server.dirtySince memoized per base version.  A gap stays
+// a gap for the sweep's life: the handle's version is fixed and the store
+// only moves forward.
+func (hk *sweepIncHook) dirtySince(h *store.Handle, ver uint64) *core.DirtySet {
+	hk.mu.Lock()
+	defer hk.mu.Unlock()
+	ds, ok := hk.dirty[ver]
+	if !ok {
+		ds = hk.s.dirtySince(h, ver)
+		if hk.dirty == nil {
+			hk.dirty = make(map[uint64]*core.DirtySet)
+		}
+		hk.dirty[ver] = ds
+	}
+	return ds
 }
 
 func (hk *sweepIncHook) Store(pat *graph.Circuit, opts core.Options, st *core.IncrementalState) {

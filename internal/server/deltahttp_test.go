@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"subgemini/internal/core"
 	"subgemini/internal/delta"
 	"subgemini/internal/gen"
 	"subgemini/internal/store"
@@ -232,6 +233,73 @@ func TestSweepIncrementalHTTP(t *testing.T) {
 	}
 	if plainResp.Replayed != 0 {
 		t.Errorf("plain sweep job replayed %d candidates; must not consult the cache", plainResp.Replayed)
+	}
+}
+
+// TestSweepIncrementalWorkersShareDirtySet runs an incremental sweep of
+// several patterns on two workers after a PATCH: the workers share one
+// composed dirty set per base version, and the counts must equal a forced
+// full re-sweep's.  Under -race it also pins the memo's locking.
+func TestSweepIncrementalWorkersShareDirtySet(t *testing.T) {
+	d := gen.RippleAdder(6)
+	s := mustNew(t, Config{Circuit: d.C, Globals: rails, MaxWorkers: 2})
+	sweepReq := SweepRequest{Patterns: []string{"FA", "INV", "NAND2", "NOR2", "XOR2"}, Workers: 2}
+	if rec := do(t, s, "POST", "/v1/sweep", sweepReq); rec.Code != http.StatusOK {
+		t.Fatalf("cold sweep: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s, "PATCH", "/v1/circuits/default", rewireOps(d.C.Devices[3].Name, "eco1")); rec.Code != http.StatusOK {
+		t.Fatalf("patch: status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	var warm, full SweepResponse
+	rec := do(t, s, "POST", "/v1/sweep", sweepReq)
+	if err := json.Unmarshal(rec.Body.Bytes(), &warm); err != nil {
+		t.Fatalf("warm sweep: %v (%s)", err, rec.Body.String())
+	}
+	rec = do(t, s, "POST", "/v1/sweep?since_version=99", sweepReq)
+	if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
+		t.Fatalf("full sweep: %v (%s)", err, rec.Body.String())
+	}
+	if warm.Replayed == 0 {
+		t.Error("warm sweep replayed nothing")
+	}
+	if full.Replayed != 0 {
+		t.Errorf("forced full sweep replayed %d candidates", full.Replayed)
+	}
+	if len(warm.Results) != len(sweepReq.Patterns) || len(full.Results) != len(warm.Results) {
+		t.Fatalf("results: warm %d, full %d, want %d", len(warm.Results), len(full.Results), len(sweepReq.Patterns))
+	}
+	for i := range warm.Results {
+		if warm.Results[i].Count != full.Results[i].Count {
+			t.Errorf("%s: incremental count %d != full count %d",
+				warm.Results[i].Pattern, warm.Results[i].Count, full.Results[i].Count)
+		}
+	}
+
+	// The memo hands every concurrent caller the same set for a version.
+	h, err := s.store.Acquire("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	hk := &sweepIncHook{s: s, h: h}
+	got := make([]*core.DirtySet, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = hk.dirtySince(h, 1)
+		}(i)
+	}
+	wg.Wait()
+	for i, ds := range got {
+		if ds == nil || ds != got[0] {
+			t.Fatalf("caller %d got dirty set %p, want the shared non-nil %p", i, ds, got[0])
+		}
+	}
+	if len(got[0].DirtyDevs) == 0 {
+		t.Error("dirty set from version 1 lists no dirty devices after a rewire")
 	}
 }
 

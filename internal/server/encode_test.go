@@ -389,9 +389,9 @@ func TestInstanceWriterAllocsFlat(t *testing.T) {
 // TestHandlerAllocCeilings pins allocations per request through the whole
 // handler (decode, result-cache replay, telemetry, encode) on the 8-bit
 // ripple adder.  Each ceiling is the measured count plus about 10%
-// (measured: match FA 520, sweep 1506 with setup reading the compiled
-// view; 528 and 1512 before it, and 1407 and 2635 before the direct
-// writer).
+// (measured: match FA 321, sweep 1002 with the arena pattern clone; 524
+// and 1518 with the per-vertex clone, 528 and 1512 before setup read the
+// compiled view, and 1407 and 2635 before the direct writer).
 func TestHandlerAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector instrumentation allocations")
@@ -402,8 +402,8 @@ func TestHandlerAllocCeilings(t *testing.T) {
 		body    any
 		ceiling float64
 	}{
-		{"/v1/match", MatchRequest{Pattern: "FA"}, 572},
-		{"/v1/sweep", SweepRequest{Patterns: []string{"FA", "NAND2", "INV"}, Workers: 1, IncludeInstances: true}, 1657},
+		{"/v1/match", MatchRequest{Pattern: "FA"}, 353},
+		{"/v1/sweep", SweepRequest{Patterns: []string{"FA", "NAND2", "INV"}, Workers: 1, IncludeInstances: true}, 1102},
 	} {
 		body := string(marshalJSON(t, tc.body))
 		allocs := testing.AllocsPerRun(50, func() {

@@ -484,7 +484,7 @@ func (s *Server) executeMatch(ctx context.Context, req *MatchRequest, pat *graph
 		case s.incEnabled():
 			key := delta.PatternKey(pat, opts)
 			lRef := opts.Observe.Begin(obs.KindCacheLookup, "result-cache")
-			prev, ds, base := s.incLookup(h, key, req.SinceVersion)
+			prev, ds, base := s.incLookup(h, key, req.SinceVersion, s.dirtySince)
 			if prev != nil {
 				opts.Observe.Attr(lRef, "hit", "true")
 				opts.Observe.AttrInt(lRef, "base_version", int64(base))
@@ -694,6 +694,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		faultsArmed:    faults.Armed(),
 		faultsFired:    faults.FiredTotal(),
 		obsCounters:    s.rec.CountersSnapshot(),
+		runtime:        readRuntimeHealth(),
 	}
 	if s.rcache != nil {
 		ext.resultHits, ext.resultMisses, ext.resultInvalidations = s.rcache.Counters()

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -203,6 +204,32 @@ type externalMetrics struct {
 	// Flight-recorder counters (obs.Recorder.CountersSnapshot at scrape
 	// time); the zero value renders every fixed label at 0.
 	obsCounters obs.Counters
+
+	runtime runtimeHealth // readRuntimeHealth at scrape time
+}
+
+// runtimeHealth is the Go runtime's own state, read from runtime/metrics.
+type runtimeHealth struct {
+	gcCPUFraction float64 // GC CPU time over all CPU time since the process started
+	heapLiveBytes uint64  // heap bytes marked live by the last GC
+	goroutines    uint64
+}
+
+// readRuntimeHealth samples runtime/metrics.  It runs only when /metrics is
+// scraped.  The CPU classes are estimates the runtime refreshes at each GC.
+func readRuntimeHealth() runtimeHealth {
+	s := []rtmetrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/sched/goroutines:goroutines"},
+	}
+	rtmetrics.Read(s)
+	rh := runtimeHealth{heapLiveBytes: s[2].Value.Uint64(), goroutines: s[3].Value.Uint64()}
+	if total := s[1].Value.Float64(); total > 0 {
+		rh.gcCPUFraction = s[0].Value.Float64() / total
+	}
+	return rh
 }
 
 // b01 renders a boolean gauge.
@@ -277,6 +304,9 @@ func (m *metrics) write(w io.Writer, ext externalMetrics) {
 	fmt.Fprintf(w, "subgeminid_sweep_instances_total %d\n", m.sweepInstances.Load())
 	fmt.Fprintf(w, "subgeminid_faults_armed %d\n", ext.faultsArmed)
 	fmt.Fprintf(w, "subgeminid_faults_fired_total %d\n", ext.faultsFired)
+	fmt.Fprintf(w, "subgeminid_go_gc_cpu_fraction %.6f\n", ext.runtime.gcCPUFraction)
+	fmt.Fprintf(w, "subgeminid_go_heap_live_bytes %d\n", ext.runtime.heapLiveBytes)
+	fmt.Fprintf(w, "subgeminid_go_goroutines %d\n", ext.runtime.goroutines)
 	fmt.Fprintf(w, "subgeminid_slow_requests_total %d\n", ext.obsCounters.Slow)
 	// Span-kind and keep-reason label sets are fixed, so every series renders
 	// (at zero if never hit) and dashboards can rely on their presence.

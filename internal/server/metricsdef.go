@@ -78,6 +78,9 @@ func MetricsReference() []MetricDef {
 		{"subgeminid_sweep_instances_total", "counter", "", "instances found across all sweep patterns"},
 		{"subgeminid_faults_armed", "gauge", "", "fault-injection points currently armed (0 in production)"},
 		{"subgeminid_faults_fired_total", "counter", "", "injected faults fired since boot"},
+		{"subgeminid_go_gc_cpu_fraction", "gauge", "", "share of the process's CPU time spent in the garbage collector since start (runtime/metrics, refreshed at each GC)"},
+		{"subgeminid_go_heap_live_bytes", "gauge", "", "heap bytes the last garbage collection marked live"},
+		{"subgeminid_go_goroutines", "gauge", "", "goroutines alive at scrape time"},
 		{"subgeminid_slow_requests_total", "counter", "", "requests over the -slow-request threshold (each also logs a slow-request line and is kept by the flight recorder)"},
 		{"subgeminid_request_spans_total", "counter", "kind", "telemetry spans recorded, by kind: " + strings.Join(obs.SpanKinds, ", ")},
 		{"subgeminid_flight_recorder_kept_total", "counter", "reason", "timelines the flight recorder kept, by reason: shed, cancel, error, slow, sampled"},

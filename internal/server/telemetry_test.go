@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -320,6 +321,26 @@ func TestTelemetryMetrics(t *testing.T) {
 	}
 	if key := fmt.Sprintf("subgeminid_flight_recorder_kept_total{reason=%q}", obs.KeepSampled); met[key] < 1 {
 		t.Errorf("%s = %v, want >= 1 at sample rate 1", key, met[key])
+	}
+}
+
+// TestRuntimeHealthMetrics: the runtime gauges render on a live scrape,
+// read from runtime/metrics at that moment.
+func TestRuntimeHealthMetrics(t *testing.T) {
+	s, _ := newAdderServer(t, nil)
+	if rec := do(t, s, "POST", "/v1/match", MatchRequest{Pattern: "FA"}); rec.Code != http.StatusOK {
+		t.Fatalf("match: status %d", rec.Code)
+	}
+	runtime.GC() // the live-heap figure and the CPU classes refresh at a GC
+	met := parseMetrics(t, do(t, s, "GET", "/metrics", nil).Body.String())
+	if v, ok := met["subgeminid_go_gc_cpu_fraction"]; !ok || v < 0 || v > 1 {
+		t.Errorf("go_gc_cpu_fraction = %v, %v; want present in [0, 1]", v, ok)
+	}
+	if v := met["subgeminid_go_heap_live_bytes"]; v <= 0 {
+		t.Errorf("go_heap_live_bytes = %v, want > 0", v)
+	}
+	if v := met["subgeminid_go_goroutines"]; v < 1 {
+		t.Errorf("go_goroutines = %v, want >= 1", v)
 	}
 }
 
